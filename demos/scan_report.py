@@ -11,7 +11,7 @@ from collections import Counter
 
 from torus_super import scan
 
-report = scan(6, 20, workers=4)
+report = scan(6, 20)
 
 statuses = Counter(row.status for row in report.rows)
 print("pairs scanned:", len(report.rows))

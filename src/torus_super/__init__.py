@@ -8,9 +8,9 @@ from .algebra import (
     LaurentPolynomial,
     NonDivisibleError,
     SubstitutionMap,
+    common_denominator,
     exact_divide,
     parse_polynomial,
-    sum_rationals,
 )
 from .invariant import (
     CalibrationError,
@@ -44,12 +44,12 @@ __all__ = [
     "PropertyFlags",
     "SubstitutionMap",
     "Superpolynomial",
+    "common_denominator",
     "compute",
     "exact_divide",
     "generating_function",
     "parse_polynomial",
     "scan",
     "specialize",
-    "sum_rationals",
     "verify_properties",
 ]

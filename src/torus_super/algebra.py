@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Alphabet = tuple[str, ...]
 Monomial = tuple[int, ...]
@@ -57,10 +57,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_pow(m: Monomial, k: int) -> Monomial:
-    return tuple(x * k for x in m)
 
 
 def monomial_inverse(m: Monomial) -> Monomial:
@@ -226,18 +222,6 @@ class LaurentPolynomial:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = LaurentPolynomial.one(self.alphabet)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def shifted(self, mono: Monomial, coeff: Coeff = 1) -> "LaurentPolynomial":
         """Multiply by ``coeff * x^mono`` (a fast exponent translation)."""
@@ -526,10 +510,6 @@ class FactoredRational:
     def one(cls, alphabet: Alphabet) -> "FactoredRational":
         return cls(alphabet)
 
-    @classmethod
-    def from_monomial(cls, alphabet: Alphabet, exps: Monomial, coeff: Coeff = 1) -> "FactoredRational":
-        return cls(alphabet, coeff=coeff, prefactor=tuple(exps))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
             return NotImplemented
@@ -563,14 +543,6 @@ class FactoredRational:
         out = FactoredRational(self.alphabet, coeff=as_coeff(Fraction(1, 1) / self.coeff))
         out.prefactor = monomial_inverse(self.prefactor)
         out.factors = {b: -m for b, m in self.factors.items()}
-        return out
-
-    def scaled(self, coeff: Coeff = 1, monomial: Monomial | None = None) -> "FactoredRational":
-        out = FactoredRational(self.alphabet, coeff=as_coeff(self.coeff * coeff))
-        out.prefactor = (
-            monomial_mul(self.prefactor, tuple(monomial)) if monomial is not None else self.prefactor
-        )
-        out.factors = dict(self.factors)
         return out
 
     def expand(self) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -617,31 +589,18 @@ def expand_binomial_product(
     return out
 
 
-def sum_rationals(
+def common_denominator(
     rationals: Iterable[FactoredRational],
-    weights: Iterable[LaurentPolynomial] | None = None,
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Sum factored rationals over their least common factored denominator.
+) -> tuple[list[LaurentPolynomial], list[tuple[Monomial, int]]]:
+    """Bring factored rationals over their least common factored denominator.
 
-    Returns ``(numerator, denominator)`` with the numerator expanded exactly
-    and the denominator the binomial-wise max of the negative multiplicities.
-    Optional ``weights`` multiply the corresponding summands' numerators
-    (used for polynomial cofactors that have no factored form).
+    Returns each summand's expanded numerator over that denominator, and the
+    denominator as sorted ``(b, multiplicity)`` pairs of binomials ``1 - x^b``:
+    for each binomial, the largest multiplicity any summand divides by.
     """
     rs = list(rationals)
-    if not rs:
-        raise ValueError("empty sum")
-    alphabet = rs[0].alphabet
-    ws: list[LaurentPolynomial | None]
-    if weights is None:
-        ws = [None] * len(rs)
-    else:
-        ws = list(weights)
-        if len(ws) != len(rs):
-            raise ValueError("one weight per summand")
-    for r in rs:
-        if r.alphabet != alphabet:
-            raise AlphabetMismatchError("summands over different alphabets")
+    if len({r.alphabet for r in rs}) > 1:
+        raise AlphabetMismatchError("summands over different alphabets")
 
     need: dict[Monomial, int] = {}
     for r in rs:
@@ -649,22 +608,12 @@ def sum_rationals(
             if mult < 0:
                 need[b] = max(need.get(b, 0), -mult)
 
-    numerator = LaurentPolynomial.zero(alphabet)
-    for r, w in zip(rs, ws):
+    numerators = []
+    for r in rs:
         completion = dict(need)
         for b, mult in r.factors.items():
-            total = completion.get(b, 0) + mult
-            if total < 0:
-                raise AssertionError("completion left a negative multiplicity")
-            completion[b] = total
-        part = expand_binomial_product(
-            alphabet, r.coeff, r.prefactor, completion.items()
+            completion[b] = completion.get(b, 0) + mult
+        numerators.append(
+            expand_binomial_product(r.alphabet, r.coeff, r.prefactor, completion.items())
         )
-        if w is not None:
-            part = part * w
-        numerator = numerator + part
-
-    denominator = expand_binomial_product(
-        alphabet, 1, unit_monomial(alphabet), sorted(need.items())
-    )
-    return numerator, denominator
+    return numerators, sorted(need.items())

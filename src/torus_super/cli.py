@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .algebra import LaurentPolynomial, format_polynomial
@@ -69,19 +70,29 @@ def _cache_dir() -> Path:
 
 
 def cached_compute(n: int, m: int):
-    """compute() behind a delete-safe file cache keyed by the code version."""
+    """compute() behind a delete-safe file cache keyed by the code version.
+
+    An entry holds the canonical JSON and the content that normalization
+    removed, so a hit returns what compute() returns.
+    """
     path = _cache_dir() / f"{n}_{m}_{_code_version()}.json"
     try:
-        return superpolynomial_from_json(path.read_text())
+        entry = json.loads(path.read_text())
+        hit = superpolynomial_from_json(entry["superpolynomial"])
+        return replace(hit, content=tuple(int(x) for x in entry["content"]))
     except Exception:
         pass  # miss, stale key, or corrupt entry; recompute
     result = compute(n, m)
     if isinstance(result, Superpolynomial):
+        entry = {
+            "content": list(result.content),
+            "superpolynomial": superpolynomial_to_json(result),
+        }
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
-                handle.write(superpolynomial_to_json(result) + "\n")
+                handle.write(json.dumps(entry) + "\n")
             os.replace(tmp, path)
         except OSError:
             pass  # cache is advisory
@@ -243,7 +254,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    report = scan(args.n_max, args.m_max, workers=args.workers)
+    report = scan(args.n_max, args.m_max)
     csv_text = report.to_csv()
     if args.out:
         try:
@@ -310,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--m-max", type=int, required=True)
     p_scan.add_argument("--out", help="CSV destination (default stdout)")
-    p_scan.add_argument("--workers", type=int, default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_spec = sub.add_parser("specialize", help="classical one- and two-variable reductions")

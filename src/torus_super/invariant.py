@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,8 +28,8 @@ from .algebra import (
     Monomial,
     NonDivisibleError,
     SubstitutionMap,
+    common_denominator,
     exact_divide,
-    expand_binomial_product,
     monomial_div,
     monomial_inverse,
     unit_monomial,
@@ -84,8 +83,8 @@ class KnotRequest:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise TypeError("n and m must be integers")
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (self.n, self.m)):
+            raise TypeError(f"n and m must be integers, got ({self.n!r}, {self.m!r})")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got ({self.n}, {self.m})")
 
@@ -159,30 +158,12 @@ def _family_core(n: int) -> _FamilyCore:
         power_sum_coefficient(y) * macdonald_dimension(y) * unknot_dim_inverse * const
         for y in ys
     ]
-
-    need: dict[Monomial, int] = {}
-    for b in bases:
-        for mono, mult in b.factors.items():
-            if mult < 0:
-                need[mono] = max(need.get(mono, 0), -mult)
-
-    numerators = []
-    for b in bases:
-        completion = dict(need)
-        for mono, mult in b.factors.items():
-            total = completion.get(mono, 0) + mult
-            if total < 0:
-                raise AssertionError("denominator lcm missed a factor")
-            completion[mono] = total
-        numerators.append(
-            expand_binomial_product(MACD, b.coeff, b.prefactor, sorted(completion.items()))
-        )
-
+    numerators, denominator = common_denominator(bases)
     return _FamilyCore(
         partitions=tuple(ys),
         framings=tuple(framing_factor(y) for y in ys),
         base_numerators=tuple(numerators),
-        denominator=tuple(sorted(need.items())),
+        denominator=tuple(denominator),
     )
 
 
@@ -208,32 +189,28 @@ def _bold_denominator(n: int) -> tuple[tuple[LaurentPolynomial, int], ...]:
     return tuple(out)
 
 
-def _assemble_numerator(req: KnotRequest, parallel: bool = False) -> LaurentPolynomial:
+def _divide_by_denominator(n: int, p: LaurentPolynomial) -> LaurentPolynomial:
+    """Exact quotient of p by the bold common denominator of strand count n;
+    raises NonDivisibleError at the first binomial that leaves a remainder."""
+    for binomial, mult in _bold_denominator(n):
+        for _ in range(mult):
+            p = exact_divide(p, binomial)
+    return p
+
+
+def _assemble_numerator(req: KnotRequest) -> LaurentPolynomial:
     n, m = req.n, req.m
     k, r = req.quotient, req.remainder
     e = _exponent_of_winding(n, r)
-    core = _family_core(n)
-    weighted = _weighted_numerators(n, r)
-
-    def shifted_summand(idx: int) -> LaurentPolynomial:
-        t_q, t_t, _ = core.framings[idx]
-        shift = (e + k * t_q, m + k * t_t, 0)
-        return weighted[idx].shifted(shift)
-
-    indices = range(len(core.partitions))
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            parts = list(pool.map(shifted_summand, indices))
-    else:
-        parts = [shifted_summand(i) for i in indices]
-
     total = LaurentPolynomial.zero(MACD)
-    for part in parts:
-        total = total + part
+    for (t_q, t_t, _), part in zip(_family_core(n).framings, _weighted_numerators(n, r)):
+        total = total + part.shifted((e + k * t_q, m + k * t_t, 0))
     return total
 
 
-def _flags_of(p: LaurentPolynomial) -> PropertyFlags:
+def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> PropertyFlags:
+    """Recompute integrality/positivity/normalization flags from the terms."""
+    p = result.terms if isinstance(result, Superpolynomial) else result
     integral = all(isinstance(c, int) for c in p.terms.values())
     positive = bool(p.terms) and all(c > 0 for c in p.terms.values())
     normalized = (
@@ -244,14 +221,8 @@ def _flags_of(p: LaurentPolynomial) -> PropertyFlags:
     return PropertyFlags(polynomial=True, integral=integral, positive=positive, normalized=normalized)
 
 
-def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> PropertyFlags:
-    """Recompute integrality/positivity/normalization flags from the terms."""
-    p = result.terms if isinstance(result, Superpolynomial) else result
-    return _flags_of(p)
-
-
-@lru_cache(maxsize=None)
-def compute(n: int, m: int, *, parallel: bool = False) -> Union[Superpolynomial, NonPolynomial]:
+@lru_cache(maxsize=None, typed=True)  # typed: True == 1 must not hit the cache
+def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     """The normalized (n, m) torus-knot invariant, or NonPolynomial.
 
     Exact division by the common denominator succeeds exactly when
@@ -259,12 +230,9 @@ def compute(n: int, m: int, *, parallel: bool = False) -> Union[Superpolynomial,
     must start with constant term +1.  Results are immutable and memoized.
     """
     req = KnotRequest(n, m)
-    numerator = _assemble_numerator(req, parallel=parallel)
-    bold = numerator.substitute(MACD_TO_KNOT)
+    bold = _assemble_numerator(req).substitute(MACD_TO_KNOT)
     try:
-        for binomial, mult in _bold_denominator(n):
-            for _ in range(mult):
-                bold = exact_divide(bold, binomial)
+        bold = _divide_by_denominator(n, bold)
     except NonDivisibleError as err:
         return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=str(err))
     if bold.is_zero():
@@ -276,7 +244,7 @@ def compute(n: int, m: int, *, parallel: bool = False) -> Union[Superpolynomial,
             f"content {content}"
         )
     return Superpolynomial(
-        n=n, m=m, terms=normalized, content=content, flags=_flags_of(normalized)
+        n=n, m=m, terms=normalized, content=content, flags=verify_properties(normalized)
     )
 
 
@@ -393,16 +361,13 @@ def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
             prev = num_z.get(j, LaurentPolynomial.zero(KNOT))
             num_z[j] = prev + part * cofactor
 
-    denominator = _bold_denominator(n)
     numerator = []
     for j in sorted(num_z):
         coeff = num_z[j]
         if coeff.is_zero():
             continue
         try:
-            for binomial, mult in denominator:
-                for _ in range(mult):
-                    coeff = exact_divide(coeff, binomial)
+            coeff = _divide_by_denominator(n, coeff)
         except NonDivisibleError as err:
             raise CalibrationError(f"z^{j} numerator not divisible: {err}") from err
         coeff = coeff.shifted(monomial_inverse(mu))
@@ -415,8 +380,7 @@ def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
 
     series = gf.series(k_check)
     for k in range(k_check + 1):
-        expected = results[k] if k <= probes else compute(n, n * k + r)
-        if isinstance(expected, NonPolynomial) or series[k] != expected.terms:
+        if series[k] != results[k].terms:
             raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
     return gf
 
@@ -460,8 +424,7 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _scan_one(pair: tuple[int, int]) -> ScanRow:
-    n, m = pair
+def _scan_one(n: int, m: int) -> ScanRow:
     start = perf_counter()
     outcome: str
     a_max = q_max = t_max = term_count = None
@@ -489,16 +452,13 @@ def _scan_one(pair: tuple[int, int]) -> ScanRow:
     )
 
 
-def scan(n_max: int, m_max: int, workers: int | None = None) -> ScanReport:
+def scan(n_max: int, m_max: int) -> ScanReport:
     """Sweep 2 <= n <= n_max, n < m <= m_max; coprime pairs must verify all
-    flags, the rest must come back NonPolynomial."""
-    pairs = [(n, m) for n in range(2, n_max + 1) for m in range(n + 1, m_max + 1)]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_one, pairs))
-    else:
-        rows = [_scan_one(p) for p in pairs]
-    return ScanReport(rows=tuple(rows))
+    flags, the rest must come back NonPolynomial.  Pairs run one after
+    another, so each row's millis is that pair's own wall time."""
+    return ScanReport(rows=tuple(
+        _scan_one(n, m) for n in range(2, n_max + 1) for m in range(n + 1, m_max + 1)
+    ))
 
 
 # -- canonical JSON ------------------------------------------------------------
@@ -514,6 +474,8 @@ def superpolynomial_to_json(sp: Superpolynomial) -> str:
 
 
 def superpolynomial_from_json(text: str) -> Superpolynomial:
+    """Inverse of superpolynomial_to_json; the canonical form stores no
+    content, so the result's content is the unit monomial."""
     data = json.loads(text)
     terms = [
         ((int(a), int(q), int(t)), Fraction(c)) for a, q, t, c in data["terms"]
@@ -527,7 +489,7 @@ def superpolynomial_from_json(text: str) -> Superpolynomial:
         m=int(data["m"]),
         terms=poly,
         content=content,
-        flags=_flags_of(poly),
+        flags=verify_properties(poly),
     )
 
 

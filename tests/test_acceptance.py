@@ -1,11 +1,16 @@
 """Acceptance gate: one criterion per test, one printed pass/fail line each."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
+import torus_super
 from torus_super.algebra import KNOT, LaurentPolynomial, exact_divide
 from torus_super.invariant import (
     MACD_TO_KNOT,
@@ -58,7 +63,7 @@ def test_criterion_1_corpus_exactness():
 
 def test_criterion_2_polynomiality_dichotomy():
     start = perf_counter()
-    rows = scan(6, 20, workers=4).rows
+    rows = scan(6, 20).rows
     elapsed = perf_counter() - start
     bad = [
         (r.n, r.m, r.status)
@@ -141,6 +146,17 @@ def _random_poly(rng, alphabet):
     return LaurentPolynomial(alphabet, terms)
 
 
+_DETERMINISM_CHILD = """
+import json
+from torus_super.invariant import compute, scan, superpolynomial_to_json
+print(json.dumps(superpolynomial_to_json(compute(4, 9))))
+print(json.dumps([
+    [r.n, r.m, r.gcd, r.status, r.a_max, r.q_max, r.t_max, r.term_count]
+    for r in scan(3, 8).rows
+]))
+"""
+
+
 def test_criterion_6_property_suites():
     rng = random.Random(11)
     division_ok = True
@@ -190,20 +206,32 @@ def test_criterion_6_property_suites():
             slices.setdefault(ea, set()).add((eq + et) % 2)
         shape_ok = shape_ok and all(len(par) == 1 for par in slices.values())
 
-    deterministic = superpolynomial_to_json(
-        compute(4, 9, parallel=True)
-    ) == superpolynomial_to_json(compute(4, 9))
-    seq = scan(3, 8)
-    par = scan(3, 8, workers=3)
-    deterministic = deterministic and [
-        (r.n, r.m, r.status, r.term_count) for r in seq.rows
-    ] == [(r.n, r.m, r.status, r.term_count) for r in par.rows]
+    # The same outputs from a child interpreter with another string-hash seed.
+    package_root = str(Path(torus_super.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.run(
+        [sys.executable, "-c", _DETERMINISM_CHILD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+    )
+    here = [
+        superpolynomial_to_json(compute(4, 9)),
+        [
+            [r.n, r.m, r.gcd, r.status, r.a_max, r.q_max, r.t_max, r.term_count]
+            for r in scan(3, 8).rows
+        ],
+    ]
+    deterministic = child.returncode == 0 and here == [
+        json.loads(line) for line in child.stdout.splitlines()
+    ]
 
     report(
         division_ok and hom_ok and gamma_ok and framing_ok and shape_ok and deterministic,
         "criterion 6: seeded property suites (division round trip, "
         "substitution homomorphism, elementary-symmetric generating identity, "
-        "framing closed form, normalization shape, parallel determinism)",
+        "framing closed form, normalization shape, hash-seed determinism)",
     )
 
 

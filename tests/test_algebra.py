@@ -14,9 +14,10 @@ from torus_super.algebra import (
     LaurentPolynomial,
     NonDivisibleError,
     SubstitutionMap,
+    common_denominator,
     exact_divide,
+    expand_binomial_product,
     parse_polynomial,
-    sum_rationals,
 )
 from torus_super.invariant import MACD_TO_KNOT
 
@@ -231,22 +232,21 @@ def test_factored_multiplication_cancels():
 def test_sum_rationals_cancellation():
     plus = FactoredRational(MACD, factors={(1, 0, 0): -1})
     minus = FactoredRational(MACD, coeff=-1, factors={(1, 0, 0): -1})
-    num, den = sum_rationals([plus, minus])
-    assert num.is_zero()
-    assert den == poly(MACD, {(0, 0, 0): 1, (1, 0, 0): -1})
+    (num_plus, num_minus), den = common_denominator([plus, minus])
+    assert (num_plus + num_minus).is_zero()
+    assert den == [((1, 0, 0), 1)]
 
 
 def test_sum_rationals_distinct_denominators():
     over_q = FactoredRational(MACD, factors={(1, 0, 0): -1})
     over_t = FactoredRational(MACD, factors={(0, 1, 0): -1})
-    num, den = sum_rationals([over_q, over_t])
-    assert num == poly(MACD, {(0, 0, 0): 2, (1, 0, 0): -1, (0, 1, 0): -1})
-    assert den == poly(MACD, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1})
-
-
-def test_sum_rationals_with_weights():
-    one = FactoredRational.one(MACD)
-    w = poly(MACD, {(1, 0, 0): 1})
-    num, den = sum_rationals([one, one], weights=[w, w])
-    assert num == poly(MACD, {(1, 0, 0): 2})
-    assert den == LaurentPolynomial.one(MACD)
+    nums, den = common_denominator([over_q, over_t])
+    assert nums == [
+        poly(MACD, {(0, 0, 0): 1, (0, 1, 0): -1}),
+        poly(MACD, {(0, 0, 0): 1, (1, 0, 0): -1}),
+    ]
+    assert nums[0] + nums[1] == poly(MACD, {(0, 0, 0): 2, (1, 0, 0): -1, (0, 1, 0): -1})
+    assert den == [((0, 1, 0), 1), ((1, 0, 0), 1)]
+    assert expand_binomial_product(MACD, 1, (0, 0, 0), den) == poly(
+        MACD, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1}
+    )

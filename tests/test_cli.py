@@ -11,6 +11,7 @@ import pytest
 
 import torus_super
 from torus_super import cli
+from torus_super.invariant import compute, superpolynomial_to_json
 
 FIXTURES = Path(__file__).parent.parent / "src" / "torus_super" / "fixtures"
 
@@ -162,6 +163,20 @@ def test_cache_round_trip_and_corruption_recovery(tmp_path, capsys):
     assert run(capsys, "compute", "2", "7", "--json") == first
     entries[0].write_text("{ not json")
     assert run(capsys, "compute", "2", "7", "--json") == first
+
+
+def test_cached_compute_keeps_content(tmp_path):
+    want = compute(3, 4)
+    assert want.content != (0, 0, 0)
+    miss = cli.cached_compute(3, 4)
+    hit = cli.cached_compute(3, 4)
+    for got in (miss, hit):
+        assert (got.terms, got.content, got.flags) == (want.terms, want.content, want.flags)
+    # An entry in the bare canonical form has no content field: a miss.
+    (entry,) = (tmp_path / "cache").glob("3_4_*.json")
+    entry.write_text(superpolynomial_to_json(want) + "\n")
+    assert cli.cached_compute(3, 4).content == want.content
+    assert "content" in json.loads(entry.read_text())
 
 
 def test_module_entry_point(tmp_path):
