@@ -347,19 +347,54 @@ def format_polynomial(p: LaurentPolynomial, mul: str = "*") -> str:
     return text
 
 
+def _div_coeff(c: Coeff, d: Coeff) -> Coeff:
+    """Exact rational ``c / d``, staying in ``int`` when ``d`` divides ``c``."""
+    if isinstance(c, int) and isinstance(d, int) and c % d == 0:
+        return c // d
+    return as_coeff(Fraction(c) / d)
+
+
 def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient ``f / g``; raises :class:`NonDivisibleError` otherwise.
 
-    Standard sparse reduction in lexicographic order after shifting both
-    operands to ordinary polynomials.  For exact division every intermediate
-    remainder stays a multiple of ``g``, so the first leading term not
-    divisible by ``g``'s leading term proves non-divisibility and aborts.
+    A two-term ``g = alpha*x^u + beta*x^v`` (u < v in lex order) is divided
+    line by line: on each line ``e + k(v - u)`` the quotient follows
+    ``h_k = f_k/alpha + s*h_{k-1}``, ``s = -beta/alpha``, upward from the
+    line's lowest term of ``f``.  It is exact iff every line's recurrence
+    ends at zero at its top term; a line that does not proves
+    non-divisibility.  Any other ``g`` goes through sparse reduction in lex
+    order after shifting both operands to ordinary polynomials; every
+    intermediate remainder of an exact division stays a multiple of ``g``,
+    so the first leading term not divisible by ``g``'s proves
+    non-divisibility.
     """
     _check_same_alphabet(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    out = LaurentPolynomial.zero(f.alphabet)
     if f.is_zero():
-        return LaurentPolynomial.zero(f.alphabet)
+        return out
+    if len(g.terms) == 2:
+        (u, alpha), (v, beta) = sorted(g.terms.items())
+        step = monomial_div(v, u)
+        axis = next(i for i, x in enumerate(step) if x)  # step[axis] > 0
+        lines: dict[Monomial, dict[int, Coeff]] = {}
+        for e, c in f.terms.items():
+            k = e[axis] // step[axis]
+            lines.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = c
+        for base, line in lines.items():
+            h: Coeff = 0
+            top = max(line)
+            for k in range(min(line), top + 1):
+                h = _div_coeff(line.get(k, 0) - beta * h, alpha)
+                if h and k < top:
+                    out.terms[tuple(x + k * s - y for x, s, y in zip(base, step, u))] = h
+            if h:
+                end = tuple(x + top * s for x, s in zip(base, step))
+                raise NonDivisibleError(
+                    f"remainder {as_coeff(h * alpha)} at {end} on the line along {step}"
+                )
+        return out
 
     content_f = f.content()
     content_g = g.content()
@@ -382,10 +417,7 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
         qe = monomial_div(e, lead_g)
         if any(x < 0 for x in qe):
             raise NonDivisibleError(f"leading term {e} not reducible by {lead_g}")
-        if isinstance(c, int) and isinstance(lead_coeff, int) and c % lead_coeff == 0:
-            qc: Coeff = c // lead_coeff
-        else:
-            qc = as_coeff(Fraction(c) / lead_coeff)
+        qc = _div_coeff(c, lead_coeff)
         quotient[qe] = qc
         for ge, gc in tail:
             ne = monomial_mul(qe, ge)
@@ -401,7 +433,6 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     if rem:
         raise NonDivisibleError("nonzero remainder")
     shift = monomial_div(content_f, content_g)
-    out = LaurentPolynomial.zero(f.alphabet)
     out.terms = {monomial_mul(e, shift): as_coeff(c) for e, c in quotient.items()}
     return out
 

@@ -151,15 +151,19 @@ def _format_monomial(exps) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _report_nonpolynomial(result: NonPolynomial) -> int:
+    n, m = result.n, result.m
+    print(
+        f"P({n},{m}) is not a polynomial: gcd({n},{m}) = {result.gcd}; {result.reason}",
+        file=sys.stderr,
+    )
+    return EXIT_NONPOLYNOMIAL
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     result = compute(args.n, args.m) if args.raw else cached_compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
-        print(
-            f"P({args.n},{args.m}) is not a polynomial: gcd({args.n},{args.m}) = "
-            f"{result.gcd}; {result.reason}",
-            file=sys.stderr,
-        )
-        return EXIT_NONPOLYNOMIAL
+        return _report_nonpolynomial(result)
     if args.json:
         print(superpolynomial_to_json(result))
         return EXIT_OK
@@ -270,11 +274,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_specialize(args: argparse.Namespace) -> int:
     result = compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
-        print(
-            f"P({args.n},{args.m}) is not a polynomial: gcd = {result.gcd}",
-            file=sys.stderr,
-        )
-        return EXIT_NONPOLYNOMIAL
+        return _report_nonpolynomial(result)
     print(format_polynomial(specialize(result, args.at)))
     return EXIT_OK
 

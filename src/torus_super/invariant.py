@@ -3,11 +3,17 @@
 The (n, m) invariant is a sum over partitions of n.  Each summand is a
 factored rational in (q, t, A) times an elementary-symmetric cofactor; the
 sum goes over a common factored denominator, is pushed through the bold
-variable substitution into (a, q, t), divided exactly, and finally
-normalized by its monomial content so the lowest term is +1.
+variable substitution into (a, q, t), divided exactly one denominator
+binomial at a time, and finally normalized by its monomial content so the
+lowest term is +1.
 
 Everything m-dependent in a summand is a single monomial, so the expensive
 expansions are cached per n and reused across the whole (n, m) family.
+
+A winding family P(n, nk + r) has one pole per partition of n, fixed by the
+framings, so its generating function is fit from compute() alone: the
+numerator is the pole product times the first p(n) orders, and the series
+is checked against direct computations at least one order past the fit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .algebra import (
     common_denominator,
     exact_divide,
     monomial_div,
-    monomial_inverse,
     unit_monomial,
 )
 from .macdonald import (
@@ -134,10 +139,6 @@ class NonPolynomial:
     reason: str = "exact division left a remainder"
 
 
-def _exponent_of_winding(n: int, r: int) -> int:
-    return r * n + r * (r - 1) // 2 - n * (n - 1) // 2
-
-
 @dataclass(frozen=True)
 class _FamilyCore:
     """m-independent data shared by every invariant of strand count n."""
@@ -189,19 +190,10 @@ def _bold_denominator(n: int) -> tuple[tuple[LaurentPolynomial, int], ...]:
     return tuple(out)
 
 
-def _divide_by_denominator(n: int, p: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact quotient of p by the bold common denominator of strand count n;
-    raises NonDivisibleError at the first binomial that leaves a remainder."""
-    for binomial, mult in _bold_denominator(n):
-        for _ in range(mult):
-            p = exact_divide(p, binomial)
-    return p
-
-
 def _assemble_numerator(req: KnotRequest) -> LaurentPolynomial:
     n, m = req.n, req.m
     k, r = req.quotient, req.remainder
-    e = _exponent_of_winding(n, r)
+    e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
     total = LaurentPolynomial.zero(MACD)
     for (t_q, t_t, _), part in zip(_family_core(n).framings, _weighted_numerators(n, r)):
         total = total + part.shifted((e + k * t_q, m + k * t_t, 0))
@@ -225,16 +217,21 @@ def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> Prop
 def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     """The normalized (n, m) torus-knot invariant, or NonPolynomial.
 
-    Exact division by the common denominator succeeds exactly when
-    gcd(n, m) = 1; the quotient is then stripped of its monomial content and
-    must start with constant term +1.  Results are immutable and memoized.
+    Exact division by the common denominator, one binomial at a time,
+    succeeds exactly when gcd(n, m) = 1; otherwise the reason names the
+    binomial that left a remainder.  The quotient is stripped of its monomial
+    content and must start with constant term +1.  Results are immutable and
+    memoized.
     """
     req = KnotRequest(n, m)
     bold = _assemble_numerator(req).substitute(MACD_TO_KNOT)
-    try:
-        bold = _divide_by_denominator(n, bold)
-    except NonDivisibleError as err:
-        return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=str(err))
+    for binomial, mult in _bold_denominator(n):
+        for copy in range(1, mult + 1):
+            try:
+                bold = exact_divide(bold, binomial)
+            except NonDivisibleError as err:
+                reason = f"division by ({binomial}), copy {copy} of {mult}: {err}"
+                return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
     if bold.is_zero():
         raise IntegrityError(f"({n},{m}): invariant vanished identically")
     content, normalized = bold.divide_content()
@@ -277,110 +274,72 @@ class GeneratingFunction:
     poles: tuple[Monomial, ...]  # denominator factors 1 - z * monomial
 
     def series(self, k_max: int) -> list[LaurentPolynomial]:
-        """Taylor coefficients in z up to order k_max, exactly."""
-        # Complete homogeneous sums of the poles via the one-variable-at-a-time
-        # recurrence, then convolve with the numerator.
-        h: list[LaurentPolynomial] = [LaurentPolynomial.one(KNOT)]
-        h += [LaurentPolynomial.zero(KNOT) for _ in range(k_max)]
+        """Taylor coefficients in z up to order k_max, exactly: the numerator
+        divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward."""
+        out = [LaurentPolynomial.zero(KNOT)] * (k_max + 1)
+        for j, coeff in self.numerator:
+            if j <= k_max:
+                out[j] = coeff
         for pole in self.poles:
-            for d in range(1, k_max + 1):
-                h[d] = h[d] + h[d - 1].shifted(pole)
-        out = []
-        num = dict(self.numerator)
-        for k in range(k_max + 1):
-            total = LaurentPolynomial.zero(KNOT)
-            for j, coeff in num.items():
-                if j <= k:
-                    total = total + coeff * h[k - j]
-            out.append(total)
+            for k in range(1, k_max + 1):
+                out[k] = out[k] + out[k - 1].shifted(pole)
         return out
 
 
 def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
-    """Closed form for the winding family m = nk + r, calibrated and checked.
+    """Closed form for the winding family m = nk + r, fit from compute().
 
-    The per-step content ratio nu must be k-independent over k = 0..3
-    (CalibrationError otherwise); poles are the substituted framing monomials
-    divided by nu.  The result is validated against compute() for k <= k_check.
+    With p poles, one per partition of n, the invariants P_k = P(n, nk + r)
+    are computed for k <= K = max(p, k_check).  The per-step content ratio
+    nu must be the same for every k < K (CalibrationError otherwise); poles
+    are the substituted framing monomials divided by nu.  The numerator is
+    (sum_{k<p} P_k z^k) * prod (1 - z*pole) mod z^p, and the series must
+    reproduce every P_k with k <= K, so at least one order past the fit.
     """
     if n < 1 or r < 1 or r >= n:
         raise ValueError("need 1 <= r < n")
     if math.gcd(n, r) != 1:
         raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
 
-    probes = max(3, k_check)
+    framings = _family_core(n).framings
+    count = len(framings)
+    top = max(count, k_check)
     results = []
-    for k in range(probes + 1):
+    for k in range(top + 1):
         res = compute(n, n * k + r)
         if isinstance(res, NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
         results.append(res)
 
     steps = {
-        monomial_div(results[k + 1].content, results[k].content) for k in range(3)
+        monomial_div(results[k + 1].content, results[k].content) for k in range(top)
     }
     if len(steps) != 1:
-        raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
+        raise CalibrationError(f"content ratio not constant over k = 0..{top}: {steps}")
     nu = steps.pop()
-    mu = results[0].content
 
-    core = _family_core(n)
     poles = []
-    for t_q, t_t, _ in core.framings:
+    for t_q, t_t, _ in framings:
         _, image = MACD_TO_KNOT.image((t_q, t_t + n, 0))
         poles.append(monomial_div(image, nu))
     if len(set(poles)) != len(poles):
-        raise CalibrationError("coincident poles; partial-fraction form degenerates")
+        raise CalibrationError(f"coincident poles {sorted(poles)}")
 
-    weighted = _weighted_numerators(n, r)
-    e = _exponent_of_winding(n, r)
-    bold_parts = [
-        w.shifted((e, r, 0)).substitute(MACD_TO_KNOT) for w in weighted
-    ]
-
-    # Numerator of the partial-fraction sum over the full pole product:
-    # N_j = sum_Y bold_Y * (-1)^j e_j(poles without Y).
-    count = len(poles)
-    num_z: dict[int, LaurentPolynomial] = {}
-    for idx, part in enumerate(bold_parts):
-        others = [p for i, p in enumerate(poles) if i != idx]
-        elem: list[LaurentPolynomial] = [LaurentPolynomial.one(KNOT)]
-        for pole in others:
-            nxt = []
-            for d in range(len(elem) + 1):
-                term = LaurentPolynomial.zero(KNOT)
-                if d < len(elem):
-                    term = term + elem[d]
-                if d > 0:
-                    term = term - elem[d - 1].shifted(pole)
-                nxt.append(term)
-            elem = nxt
-        for j, cofactor in enumerate(elem):
-            if cofactor.is_zero():
-                continue
-            prev = num_z.get(j, LaurentPolynomial.zero(KNOT))
-            num_z[j] = prev + part * cofactor
-
-    numerator = []
-    for j in sorted(num_z):
-        coeff = num_z[j]
-        if coeff.is_zero():
-            continue
-        try:
-            coeff = _divide_by_denominator(n, coeff)
-        except NonDivisibleError as err:
-            raise CalibrationError(f"z^{j} numerator not divisible: {err}") from err
-        coeff = coeff.shifted(monomial_inverse(mu))
-        if not coeff.is_zero():
-            numerator.append((j, coeff))
-
+    # Multiply the first `count` orders by each 1 - z*pole, c_j -= pole * c_{j-1}
+    # downward, truncating at z^count.
+    coeffs = [res.terms for res in results[:count]]
+    for pole in poles:
+        for j in range(count - 1, 0, -1):
+            coeffs[j] = coeffs[j] - coeffs[j - 1].shifted(pole)
     gf = GeneratingFunction(
-        n=n, r=r, numerator=tuple(numerator), poles=tuple(sorted(poles))
+        n=n,
+        r=r,
+        numerator=tuple((j, c) for j, c in enumerate(coeffs) if not c.is_zero()),
+        poles=tuple(sorted(poles)),
     )
 
-    series = gf.series(k_check)
-    for k in range(k_check + 1):
-        if series[k] != results[k].terms:
+    for k, term in enumerate(gf.series(top)):
+        if term != results[k].terms:
             raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
     return gf
 

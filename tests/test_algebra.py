@@ -84,6 +84,20 @@ def test_exact_divide_round_trip():
         f = random_poly(rng, KNOT, max_terms=30)
         g = random_poly(rng, KNOT, max_terms=30)
         assert exact_divide(f * g, g) == f
+    # Two-term divisors alpha*x^u + beta*x^v are divided line by line along
+    # v - u: steps along a, q or t alone and mixed ones, of either sign.
+    for trial in range(400):
+        step = [0, 0, 0] if trial % 2 else [rng.randint(-3, 3) for _ in KNOT]
+        step[trial % 3] = rng.choice([-3, -2, -1, 1, 2, 3])
+        u = tuple(rng.randint(-5, 5) for _ in KNOT)
+        v = tuple(x + s for x, s in zip(u, step))
+        alpha = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 7]))
+        g = poly(KNOT, {u: alpha, v: rng.choice([-4, -1, 1, 3])})
+        f = random_poly(rng, KNOT)
+        assert exact_divide(f * g, g) == f
+        stray = poly(KNOT, {tuple(rng.randint(-12, 12) for _ in KNOT): rng.randint(1, 9)})
+        with pytest.raises(NonDivisibleError):
+            exact_divide(f * g + stray, g)
 
 
 def test_divide_by_zero_rejected():

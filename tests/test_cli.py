@@ -64,6 +64,7 @@ def test_compute_nonpolynomial_exit(capsys):
     assert code == 2
     assert out == ""
     assert "gcd(2,4) = 2" in err
+    assert "division by (1 - q^4), copy 1 of 1: remainder" in err
 
 
 def test_compute_raw_prints_content(capsys):
@@ -131,6 +132,7 @@ def test_specialize(capsys):
     assert out == "1 + q^4 - a^2*q^2\n"
     code, _, err = run(capsys, "specialize", "2", "4", "--at", "homfly")
     assert code == 2
+    assert "gcd(2,4) = 2; division by (1 - q^4), copy 1 of 1: remainder" in err
 
 
 def test_scan_stdout_and_file(tmp_path, capsys):
