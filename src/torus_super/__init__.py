@@ -8,7 +8,6 @@ from .algebra import (
     LaurentPolynomial,
     NonDivisibleError,
     SubstitutionMap,
-    common_denominator,
     exact_divide,
     parse_polynomial,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "PropertyFlags",
     "SubstitutionMap",
     "Superpolynomial",
-    "common_denominator",
     "compute",
     "exact_divide",
     "generating_function",

@@ -8,7 +8,8 @@ convention; every operation returns a new object.
 
 Rational functions whose denominators are products of binomials
 ``1 - monomial`` are kept factored (:class:`FactoredRational`) so that the
-large structural cancellations cost nothing; only a final sum is expanded.
+large structural cancellations cost nothing; a numerator is expanded only
+once it is over its common denominator.
 """
 
 from __future__ import annotations
@@ -111,10 +112,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, alphabet: Alphabet, value: Coeff) -> "LaurentPolynomial":
         return cls(alphabet, {unit_monomial(alphabet): value})
-
-    @classmethod
-    def monomial(cls, alphabet: Alphabet, exps: Monomial, coeff: Coeff = 1) -> "LaurentPolynomial":
-        return cls(alphabet, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, alphabet: Alphabet, name: str, power: int = 1) -> "LaurentPolynomial":
@@ -580,10 +577,9 @@ class FactoredRational:
         """Expanded ``(numerator, denominator)``; numerator carries coeff and prefactor."""
         num_factors = [(b, m) for b, m in self.factors.items() if m > 0]
         den_factors = [(b, -m) for b, m in self.factors.items() if m < 0]
-        num = expand_binomial_product(self.alphabet, self.coeff, self.prefactor, num_factors)
-        den = expand_binomial_product(
-            self.alphabet, 1, unit_monomial(self.alphabet), den_factors
-        )
+        start = LaurentPolynomial(self.alphabet, {self.prefactor: self.coeff})
+        num = expand_binomial_product(start, num_factors)
+        den = expand_binomial_product(LaurentPolynomial.one(self.alphabet), den_factors)
         return num, den
 
     def __repr__(self) -> str:
@@ -594,13 +590,14 @@ class FactoredRational:
 
 
 def expand_binomial_product(
-    alphabet: Alphabet,
-    coeff: Coeff,
-    prefactor: Monomial,
-    factors: Iterable[tuple[Monomial, int]],
+    start: LaurentPolynomial, factors: Iterable[tuple[Monomial, int]]
 ) -> LaurentPolynomial:
-    """Expand ``coeff * x^prefactor * prod (1 - x^b)^e`` with all ``e >= 0``."""
-    acc: dict[Monomial, Coeff] = {tuple(prefactor): as_coeff(coeff)}
+    """Expand ``start * prod (1 - x^b)^e`` with all ``e >= 0``.
+
+    Each copy of a binomial is one pass ``acc - acc * x^b``, so a multi-term
+    ``start`` (a cofactor times a summand's monomial) needs no general product.
+    """
+    acc: dict[Monomial, Coeff] = dict(start.terms)
     for b, e in sorted(factors):
         if e < 0:
             raise ValueError("negative multiplicity in product expansion")
@@ -615,36 +612,6 @@ def expand_binomial_product(
                 else:
                     nxt.pop(shifted, None)
             acc = nxt
-    out = LaurentPolynomial.zero(tuple(alphabet))
+    out = LaurentPolynomial.zero(start.alphabet)
     out.terms = {e: as_coeff(c) for e, c in acc.items()}
     return out
-
-
-def common_denominator(
-    rationals: Iterable[FactoredRational],
-) -> tuple[list[LaurentPolynomial], list[tuple[Monomial, int]]]:
-    """Bring factored rationals over their least common factored denominator.
-
-    Returns each summand's expanded numerator over that denominator, and the
-    denominator as sorted ``(b, multiplicity)`` pairs of binomials ``1 - x^b``:
-    for each binomial, the largest multiplicity any summand divides by.
-    """
-    rs = list(rationals)
-    if len({r.alphabet for r in rs}) > 1:
-        raise AlphabetMismatchError("summands over different alphabets")
-
-    need: dict[Monomial, int] = {}
-    for r in rs:
-        for b, mult in r.factors.items():
-            if mult < 0:
-                need[b] = max(need.get(b, 0), -mult)
-
-    numerators = []
-    for r in rs:
-        completion = dict(need)
-        for b, mult in r.factors.items():
-            completion[b] = completion.get(b, 0) + mult
-        numerators.append(
-            expand_binomial_product(r.alphabet, r.coeff, r.prefactor, completion.items())
-        )
-    return numerators, sorted(need.items())

@@ -2,8 +2,8 @@
 
 Subcommands mirror the library surface: ``compute``, ``verify`` (corpus or
 oracle), ``genfun``, ``scan``, and ``specialize``.  Exit codes: 0 success,
-1 verification mismatch or property failure, 2 not a polynomial, 3 I/O,
-4 calibration failure.
+1 verification mismatch or property failure, 2 not a polynomial or a usage
+error, 3 I/O, 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .algebra import LaurentPolynomial, format_polynomial
 from .invariant import (
     CalibrationError,
     KNOT,
+    KnotRequest,
     NonPolynomial,
     Superpolynomial,
     compute,
@@ -30,6 +31,7 @@ from .invariant import (
     specialize,
     superpolynomial_from_json,
     superpolynomial_to_json,
+    _check_family,
 )
 from .partitions import enumerate_partitions
 
@@ -151,6 +153,14 @@ def _format_monomial(exps) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_arguments(check, *values) -> None:
+    """Report a library argument check's rejection as a usage error (exit 2)."""
+    try:
+        check(*values)
+    except (TypeError, ValueError) as err:
+        build_parser().error(str(err))
+
+
 def _report_nonpolynomial(result: NonPolynomial) -> int:
     n, m = result.n, result.m
     print(
@@ -161,6 +171,7 @@ def _report_nonpolynomial(result: NonPolynomial) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    _check_arguments(KnotRequest, args.n, args.m)
     result = compute(args.n, args.m) if args.raw else cached_compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
         return _report_nonpolynomial(result)
@@ -248,6 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
+    _check_arguments(_check_family, args.n, args.r)
     try:
         gf = generating_function(args.n, args.r, k_check=args.check_kmax)
     except CalibrationError as err:
@@ -272,6 +284,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
+    _check_arguments(KnotRequest, args.n, args.m)
     result = compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
         return _report_nonpolynomial(result)

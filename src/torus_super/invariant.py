@@ -1,14 +1,14 @@
 """Torus-knot invariants assembled from the closed-form Macdonald data.
 
 The (n, m) invariant is a sum over partitions of n.  Each summand is a
-factored rational in (q, t, A) times an elementary-symmetric cofactor; the
-sum goes over a common factored denominator, is pushed through the bold
-variable substitution into (a, q, t), divided exactly one denominator
-binomial at a time, and finally normalized by its monomial content so the
-lowest term is +1.
-
-Everything m-dependent in a summand is a single monomial, so the expensive
-expansions are cached per n and reused across the whole (n, m) family.
+factored rational in (q, t, A) times an elementary-symmetric cofactor.  Per
+n, every summand is multiplied by the lcm of all the denominators and kept
+factored; per (n, r), each numerator is one binomial expansion that starts
+from the cofactor.  Everything m-dependent in a summand is a single
+monomial, so those numerators serve the whole family m = nk + r.  Their
+shifted sum is pushed through the bold variable substitution into (a, q, t),
+divided exactly one denominator binomial at a time, and finally normalized
+by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) has one pole per partition of n, fixed by the
 framings, so its generating function is fit from compute() alone: the
@@ -34,8 +34,8 @@ from .algebra import (
     Monomial,
     NonDivisibleError,
     SubstitutionMap,
-    common_denominator,
     exact_divide,
+    expand_binomial_product,
     monomial_div,
     unit_monomial,
 )
@@ -145,8 +145,10 @@ class _FamilyCore:
 
     partitions: tuple[Partition, ...]
     framings: tuple[Monomial, ...]
-    base_numerators: tuple[LaurentPolynomial, ...]
-    denominator: tuple[tuple[Monomial, int], ...]
+    # Each summand times the common denominator, still factored (no poles).
+    summands: tuple[FactoredRational, ...]
+    # The common denominator as bold (a, q, t) binomials with multiplicities.
+    denominator: tuple[tuple[LaurentPolynomial, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +161,24 @@ def _family_core(n: int) -> _FamilyCore:
         power_sum_coefficient(y) * macdonald_dimension(y) * unknot_dim_inverse * const
         for y in ys
     ]
-    numerators, denominator = common_denominator(bases)
+    # The lcm divides by each binomial as often as any summand does.
+    lcm: dict[Monomial, int] = {}
+    for base in bases:
+        for b, mult in base.factors.items():
+            if mult < 0:
+                lcm[b] = max(lcm.get(b, 0), -mult)
+    denominator = []
+    for b, mult in sorted(lcm.items()):
+        sign, image = MACD_TO_KNOT.image(b)
+        binomial = LaurentPolynomial(
+            KNOT, {unit_monomial(KNOT): 1, image: -1 if sign > 0 else 1}
+        )
+        denominator.append((binomial, mult))
+    lcm_rational = FactoredRational(MACD, factors=lcm)
     return _FamilyCore(
         partitions=tuple(ys),
         framings=tuple(framing_factor(y) for y in ys),
-        base_numerators=tuple(numerators),
+        summands=tuple(base * lcm_rational for base in bases),
         denominator=tuple(denominator),
     )
 
@@ -172,22 +187,11 @@ def _family_core(n: int) -> _FamilyCore:
 def _weighted_numerators(n: int, r: int) -> tuple[LaurentPolynomial, ...]:
     core = _family_core(n)
     return tuple(
-        base * cell_elementary(y, r)
-        for y, base in zip(core.partitions, core.base_numerators)
-    )
-
-
-@lru_cache(maxsize=None)
-def _bold_denominator(n: int) -> tuple[tuple[LaurentPolynomial, int], ...]:
-    core = _family_core(n)
-    out = []
-    for mono, mult in core.denominator:
-        sign, image = MACD_TO_KNOT.image(mono)
-        binomial = LaurentPolynomial(
-            KNOT, {unit_monomial(KNOT): 1, image: -1 if sign > 0 else 1}
+        expand_binomial_product(
+            cell_elementary(y, r).shifted(s.prefactor, s.coeff), s.factors.items()
         )
-        out.append((binomial, mult))
-    return tuple(out)
+        for y, s in zip(core.partitions, core.summands)
+    )
 
 
 def _assemble_numerator(req: KnotRequest) -> LaurentPolynomial:
@@ -225,7 +229,7 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     """
     req = KnotRequest(n, m)
     bold = _assemble_numerator(req).substitute(MACD_TO_KNOT)
-    for binomial, mult in _bold_denominator(n):
+    for binomial, mult in _family_core(n).denominator:
         for copy in range(1, mult + 1):
             try:
                 bold = exact_divide(bold, binomial)
@@ -286,6 +290,15 @@ class GeneratingFunction:
         return out
 
 
+def _check_family(n: int, r: int) -> None:
+    """Reject a family m = nk + r that has no generating function here."""
+    KnotRequest(n, r)  # integers, not bools, both positive
+    if r >= n:
+        raise ValueError("need 1 <= r < n")
+    if math.gcd(n, r) != 1:
+        raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
+
+
 def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
     """Closed form for the winding family m = nk + r, fit from compute().
 
@@ -296,11 +309,7 @@ def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
     (sum_{k<p} P_k z^k) * prod (1 - z*pole) mod z^p, and the series must
     reproduce every P_k with k <= K, so at least one order past the fit.
     """
-    if n < 1 or r < 1 or r >= n:
-        raise ValueError("need 1 <= r < n")
-    if math.gcd(n, r) != 1:
-        raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
-
+    _check_family(n, r)
     framings = _family_core(n).framings
     count = len(framings)
     top = max(count, k_check)

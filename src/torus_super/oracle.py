@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
     MACD,
@@ -246,11 +246,14 @@ def _reduce_fraction(
 
 
 class RationalFunction:
-    """Quotient of two exact (q, t) Laurent polynomials; no gcd reduction.
+    """Quotient of two exact (q, t) Laurent polynomials in lowest terms.
 
-    A shared monomial content is stripped and the denominator's leading sign
-    is normalized, which keeps sizes tame at desk scale.  Equality goes
-    through cross multiplication.
+    A shared monomial content is stripped, the bivariate gcd of every (q, t)
+    fraction is cancelled, and the denominator's leading sign is normalized.
+    The gcd keeps the Gram-Schmidt sizes tame: without it, ``torus-super
+    verify oracle --max-size 4`` did not finish in two minutes on a 2-core
+    machine, against seconds with it.  Equality goes through cross
+    multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -298,10 +301,6 @@ class RationalFunction:
     @classmethod
     def const(cls, value: Coeff, alphabet: Alphabet = QT) -> "RationalFunction":
         return cls(LaurentPolynomial.constant(alphabet, value))
-
-    @classmethod
-    def from_poly(cls, p: LaurentPolynomial) -> "RationalFunction":
-        return cls(p)
 
     # -- predicates ----------------------------------------------------------
 
@@ -523,18 +522,6 @@ def inner_product_p(
     return total
 
 
-def inner_product(
-    n: int,
-    f: Mapping[Partition, RationalFunction],
-    g: Mapping[Partition, RationalFunction],
-) -> RationalFunction:
-    """Macdonald inner product of two degree-n functions given in the m-basis."""
-    plist, _ = _power_to_monomial_matrix(n)
-    fv = [f.get(mu, RF_ZERO) for mu in plist]
-    gv = [g.get(mu, RF_ZERO) for mu in plist]
-    return inner_product_p(n, m_vector_to_p_vector(n, fv), m_vector_to_p_vector(n, gv))
-
-
 # -- Macdonald polynomials by Gram-Schmidt ---------------------------------------
 
 
@@ -602,12 +589,6 @@ def macdonald_P(y: Partition, num_vars: int) -> dict[Monomial, RationalFunction]
             prev = out.get(exps)
             out[exps] = add if prev is None else prev + add
     return {e: c for e, c in out.items() if not c.is_zero()}
-
-
-def macdonald_norm(y: Partition) -> RationalFunction:
-    y = check_partition(y)
-    _, _, _, norms = _macdonald_family(size(y))
-    return norms[y]
 
 
 # -- verification routines ---------------------------------------------------------

@@ -14,7 +14,6 @@ from torus_super.algebra import (
     LaurentPolynomial,
     NonDivisibleError,
     SubstitutionMap,
-    common_denominator,
     exact_divide,
     expand_binomial_product,
     parse_polynomial,
@@ -244,23 +243,49 @@ def test_factored_multiplication_cancels():
 
 
 def test_sum_rationals_cancellation():
+    # 1/(1 - q) - 1/(1 - q): over the lcm (1 - q) the numerators are 1 and -1.
     plus = FactoredRational(MACD, factors={(1, 0, 0): -1})
     minus = FactoredRational(MACD, coeff=-1, factors={(1, 0, 0): -1})
-    (num_plus, num_minus), den = common_denominator([plus, minus])
+    lcm = FactoredRational(MACD, factors={(1, 0, 0): 1})
+    (num_plus, den_plus), (num_minus, den_minus) = (plus * lcm).expand(), (minus * lcm).expand()
+    assert num_plus == LaurentPolynomial.one(MACD)
+    assert num_minus == -LaurentPolynomial.one(MACD)
     assert (num_plus + num_minus).is_zero()
-    assert den == [((1, 0, 0), 1)]
+    assert den_plus == den_minus == LaurentPolynomial.one(MACD)
 
 
 def test_sum_rationals_distinct_denominators():
     over_q = FactoredRational(MACD, factors={(1, 0, 0): -1})
     over_t = FactoredRational(MACD, factors={(0, 1, 0): -1})
-    nums, den = common_denominator([over_q, over_t])
+    lcm = FactoredRational(MACD, factors={(1, 0, 0): 1, (0, 1, 0): 1})
+    expanded = [(r * lcm).expand() for r in (over_q, over_t)]
+    nums = [num for num, _ in expanded]
     assert nums == [
         poly(MACD, {(0, 0, 0): 1, (0, 1, 0): -1}),
         poly(MACD, {(0, 0, 0): 1, (1, 0, 0): -1}),
     ]
+    assert all(den == LaurentPolynomial.one(MACD) for _, den in expanded)
     assert nums[0] + nums[1] == poly(MACD, {(0, 0, 0): 2, (1, 0, 0): -1, (0, 1, 0): -1})
-    assert den == [((0, 1, 0), 1), ((1, 0, 0), 1)]
-    assert expand_binomial_product(MACD, 1, (0, 0, 0), den) == poly(
+    assert expand_binomial_product(LaurentPolynomial.one(MACD), lcm.factors.items()) == poly(
         MACD, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1}
     )
+
+
+def test_expand_binomial_product_from_polynomial_start():
+    rng = random.Random(20260)
+    one = LaurentPolynomial.one(MACD)
+    checked = 0
+    while checked < 40:
+        start = random_poly(rng, MACD, span=4)  # negative exponents included
+        factors = [
+            (tuple(rng.randint(-3, 3) for _ in MACD), rng.randint(0, 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if start.term_count < 2 or not all(any(b) for b, _ in factors):
+            continue
+        checked += 1
+        assert expand_binomial_product(start, factors) == start * expand_binomial_product(
+            one, factors
+        )
+    with pytest.raises(ValueError):
+        expand_binomial_product(one, [((1, 0, 0), -1)])

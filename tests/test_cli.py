@@ -81,6 +81,34 @@ def test_compute_raw_json_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args,cause",
+    [
+        (("compute", "0", "3"), "n and m must be positive, got (0, 3)"),
+        (("specialize", "2", "0", "--at", "jones"), "n and m must be positive, got (2, 0)"),
+        (("genfun", "3", "3"), "need 1 <= r < n"),
+        (("genfun", "4", "2"), "family (n=4, r=2) hits non-coprime windings"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, args, cause):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"torus-super: error: {cause}" in err
+    assert "Traceback" not in err
+
+
+def test_internal_errors_are_not_usage_errors(monkeypatch):
+    def broken(n, m):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "compute", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["specialize", "2", "3", "--at", "jones"])
+
+
 def test_verify_corpus_passes(capsys):
     code, out, _ = run(capsys, "verify", "corpus")
     assert code == 0

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from torus_super.algebra import KNOT, LaurentPolynomial
+from torus_super.algebra import KNOT, MACD, LaurentPolynomial
 from torus_super.invariant import (
+    _family_core,
+    _weighted_numerators,
     GeneratingFunction,
     KnotRequest,
     NonPolynomial,
@@ -22,6 +24,7 @@ from torus_super.invariant import (
     superpolynomial_to_json,
     verify_properties,
 )
+from torus_super.macdonald import cell_elementary
 
 FIXTURES = Path(__file__).parent.parent / "src" / "torus_super" / "fixtures"
 
@@ -46,16 +49,17 @@ def test_request_quotient_remainder():
 
 @pytest.mark.parametrize("warm_first", [False, True])
 def test_compute_rejects_bool_indices(warm_first):
-    # True == 1 and hash(True) == hash(1): a memoized compute(1, 3) must not
-    # answer compute(True, 3).
-    compute.cache_clear()
+    # True == 1 and hash(True) == hash(1): a memoized compute(1, m) must not
+    # answer compute(True, m).  Each case has an m no other test computes, so
+    # the cold one stays cold in any order without clearing the memo.
+    m = 103 if warm_first else 101
     if warm_first:
-        compute(1, 3)
+        compute(1, m)
     with pytest.raises(TypeError):
-        compute(True, 3)
+        compute(True, m)
     with pytest.raises(TypeError):
         compute(3, False)
-    assert type(compute(1, 3).n) is int
+    assert type(compute(1, m).n) is int
 
 
 def test_trefoil():
@@ -115,6 +119,20 @@ def test_flags_and_normalization_shape():
         for ea in a_powers:
             parities = {(eq + et) % 2 for (sa, eq, et) in result.terms.terms if sa == ea}
             assert len(parities) == 1
+
+
+def test_weighted_numerators_match_generic_product():
+    # Each numerator is one expansion from the cofactor; the generic product
+    # of the expanded summand and the cofactor is the reference.
+    for n in range(1, 5):
+        core = _family_core(n)
+        for r in range(n):
+            weighted = _weighted_numerators(n, r)
+            assert len(weighted) == len(core.partitions)
+            for y, summand, got in zip(core.partitions, core.summands, weighted):
+                num, den = summand.expand()
+                assert den == LaurentPolynomial.one(MACD)
+                assert got == num * cell_elementary(y, r), (n, r, y)
 
 
 def test_verify_properties_identity():
@@ -261,6 +279,8 @@ def test_generating_function_rejects_bad_families():
         generating_function(3, 0)
     with pytest.raises(ValueError):
         generating_function(3, 3)
+    with pytest.raises(TypeError):
+        generating_function(3, True)
 
 
 def test_generating_function_json_round_trip():
