@@ -16,7 +16,8 @@ for n, m in CORPUS_PAIRS:
     print(emit_grouped(result.terms))
     print()
 
-# A non-coprime pair never yields a polynomial; the common denominator
-# survives exact division and the outcome says so.
+# A non-coprime pair never yields a polynomial: the truncated series times
+# the common denominator misses the numerator, and the outcome names the
+# lowest term of the difference.
 blocked = compute(2, 4)
 print("(n,m) = (2,4):", type(blocked).__name__, "-", blocked.reason)

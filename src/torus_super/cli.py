@@ -2,8 +2,8 @@
 
 Subcommands mirror the library surface: ``compute``, ``verify`` (corpus or
 oracle), ``genfun``, ``scan``, and ``specialize``.  Exit codes: 0 success,
-1 verification mismatch or property failure, 2 not a polynomial or a usage
-error, 3 I/O, 4 calibration failure.
+1 verification mismatch or property failure, 2 usage error, 3 I/O,
+4 calibration failure, 5 not a polynomial.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .partitions import enumerate_partitions
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_NONPOLYNOMIAL = 2
 EXIT_IO = 3
 EXIT_CALIBRATION = 4
+EXIT_NONPOLYNOMIAL = 5
 
 CORPUS_PAIRS = (
     (2, 3), (2, 5), (2, 7),

@@ -1,14 +1,19 @@
 """Torus-knot invariants assembled from the closed-form Macdonald data.
 
-The (n, m) invariant is a sum over partitions of n.  Each summand is a
-factored rational in (q, t, A) times an elementary-symmetric cofactor.  Per
-n, every summand is multiplied by the lcm of all the denominators and kept
-factored; per (n, r), each numerator is one binomial expansion that starts
-from the cofactor.  Everything m-dependent in a summand is a single
-monomial, so those numerators serve the whole family m = nk + r.  Their
-shifted sum is pushed through the bold variable substitution into (a, q, t),
-divided exactly one denominator binomial at a time, and finally normalized
-by its monomial content so the lowest term is +1.
+The (n, m) invariant is a sum over partitions Y of n.  Each summand is a
+factored rational in (q, t, A) times an elementary-symmetric cofactor e_r(Y)
+and a monomial that carries everything m-dependent.  compute() never forms
+the common numerator.  It expands only each summand's small bold numerator
+n_Y in (a, q, t); every bold denominator binomial is 1 - x^c with
+c = (0, c_q > 0, c_t >= 0), so 1/D_Y is a power series on that cone.  The
+series of the n_Y / D_Y are truncated at hi = max_Y (top(n_Y) - deg D_Y),
+which bounds the sum wherever it is a polynomial, and added up into T.
+
+The multiply-back certificate then checks T * D == sum_Y n_Y * (D / D_Y)
+exactly, for the lcm D of the denominators, on Kronecker-packed Python
+ints.  Equality proves T is the invariant; a difference proves the sum is
+not a polynomial, and its lowest term is the witness.  T is finally
+normalized by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) has one pole per partition of n, fixed by the
 framings, so its generating function is fit from compute() alone: the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,11 +38,10 @@ from .algebra import (
     FactoredRational,
     LaurentPolynomial,
     Monomial,
-    NonDivisibleError,
     SubstitutionMap,
-    exact_divide,
     expand_binomial_product,
     monomial_div,
+    monomial_mul,
     unit_monomial,
 )
 from .macdonald import (
@@ -131,24 +136,63 @@ class Superpolynomial:
 
 @dataclass(frozen=True)
 class NonPolynomial:
-    """Outcome for inputs where the summed rational fails exact division."""
+    """Outcome for inputs where the summed rational is not a polynomial."""
 
     n: int
     m: int
     gcd: int
-    reason: str = "exact division left a remainder"
+    reason: str = "the multiply-back check failed"
+
+
+@dataclass(frozen=True)
+class _Summand:
+    """One partition's summand ``coeff * x^prefactor * prod (1 - x^b)^e / D_Y``.
+
+    The numerator binomials stay over MACD, where their bold images may
+    carry a sign.  The bold denominator D_Y is a list of steps c of
+    ``1 - x^c`` with multiplicities.
+    """
+
+    partition: Partition
+    framing: Monomial
+    coeff: int
+    prefactor: Monomial
+    numerator: tuple[tuple[Monomial, int], ...]
+    denominator: tuple[tuple[Monomial, int], ...]
 
 
 @dataclass(frozen=True)
 class _FamilyCore:
     """m-independent data shared by every invariant of strand count n."""
 
-    partitions: tuple[Partition, ...]
-    framings: tuple[Monomial, ...]
-    # Each summand times the common denominator, still factored (no poles).
-    summands: tuple[FactoredRational, ...]
-    # The common denominator as bold (a, q, t) binomials with multiplicities.
-    denominator: tuple[tuple[LaurentPolynomial, int], ...]
+    parts: tuple[_Summand, ...]
+    # The lcm D of the summands' denominators as bold steps with multiplicities.
+    lcm: tuple[tuple[Monomial, int], ...]
+    # Largest |coefficient| of D expanded, for the multiply-back digit width.
+    lcm_peak: int
+
+
+def _bold_step(b: Monomial) -> Monomial:
+    """Step c of the bold image ``1 - x^c`` of a denominator binomial ``1 - x^b``.
+
+    Its inverse expands as ``sum_k x^(k c)`` on the series cone only if the
+    sign is +1 and c = (0, c_q > 0, c_t >= 0); anything else is an
+    IntegrityError.
+    """
+    sign, c = MACD_TO_KNOT.image(b)
+    if sign != 1 or c[0] != 0 or c[1] <= 0 or c[2] < 0:
+        raise IntegrityError(
+            f"denominator binomial 1 - x^{b} maps to 1 - ({sign})x^{c}, off the series cone"
+        )
+    return c
+
+
+def _degree(steps: tuple[tuple[Monomial, int], ...]) -> Monomial:
+    """Top exponent of ``prod (1 - x^c)^mult`` per coordinate (every c >= 0)."""
+    deg = (0, 0, 0)
+    for c, mult in steps:
+        deg = tuple(d + mult * x for d, x in zip(deg, c))
+    return deg
 
 
 @lru_cache(maxsize=None)
@@ -167,41 +211,194 @@ def _family_core(n: int) -> _FamilyCore:
         for b, mult in base.factors.items():
             if mult < 0:
                 lcm[b] = max(lcm.get(b, 0), -mult)
-    denominator = []
-    for b, mult in sorted(lcm.items()):
-        sign, image = MACD_TO_KNOT.image(b)
-        binomial = LaurentPolynomial(
-            KNOT, {unit_monomial(KNOT): 1, image: -1 if sign > 0 else 1}
-        )
-        denominator.append((binomial, mult))
-    lcm_rational = FactoredRational(MACD, factors=lcm)
+    steps = {b: _bold_step(b) for b in lcm}
+    parts = []
+    for y, base in zip(ys, bases):
+        if not isinstance(base.coeff, int):
+            raise IntegrityError(f"summand of {y} has coefficient {base.coeff}")
+        parts.append(_Summand(
+            partition=y,
+            framing=framing_factor(y),
+            coeff=base.coeff,
+            prefactor=base.prefactor,
+            numerator=tuple(sorted((b, e) for b, e in base.factors.items() if e > 0)),
+            denominator=tuple(sorted((steps[b], -e) for b, e in base.factors.items() if e < 0)),
+        ))
+    lcm_steps = tuple(sorted((steps[b], mult) for b, mult in lcm.items()))
+    expanded = expand_binomial_product(LaurentPolynomial.one(KNOT), lcm_steps)
     return _FamilyCore(
-        partitions=tuple(ys),
-        framings=tuple(framing_factor(y) for y in ys),
-        summands=tuple(base * lcm_rational for base in bases),
-        denominator=tuple(denominator),
+        parts=tuple(parts),
+        lcm=lcm_steps,
+        lcm_peak=max(abs(c) for c in expanded.terms.values()),
     )
 
 
-@lru_cache(maxsize=None)
-def _weighted_numerators(n: int, r: int) -> tuple[LaurentPolynomial, ...]:
-    core = _family_core(n)
-    return tuple(
-        expand_binomial_product(
-            cell_elementary(y, r).shifted(s.prefactor, s.coeff), s.factors.items()
-        )
-        for y, s in zip(core.partitions, core.summands)
-    )
-
-
-def _assemble_numerator(req: KnotRequest) -> LaurentPolynomial:
+def _numerators(req: KnotRequest) -> list[LaurentPolynomial]:
+    """Each summand's bold numerator n_Y: the cofactor e_r(Y) times the
+    summand's monomial, its m-dependent shift and its numerator binomials,
+    substituted into (a, q, t)."""
     n, m = req.n, req.m
     k, r = req.quotient, req.remainder
     e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
-    total = LaurentPolynomial.zero(MACD)
-    for (t_q, t_t, _), part in zip(_family_core(n).framings, _weighted_numerators(n, r)):
-        total = total + part.shifted((e + k * t_q, m + k * t_t, 0))
-    return total
+    out = []
+    for part in _family_core(n).parts:
+        t_q, t_t, _ = part.framing
+        shift = monomial_mul(part.prefactor, (e + k * t_q, m + k * t_t, 0))
+        start = cell_elementary(part.partition, r).shifted(shift, part.coeff)
+        out.append(expand_binomial_product(start, part.numerator).substitute(MACD_TO_KNOT))
+    return out
+
+
+def _series_bound(core: _FamilyCore, numerators: list[LaurentPolynomial]) -> Monomial:
+    """hi = max_Y (top(n_Y) - deg D_Y) per coordinate.
+
+    If the sum S of the summands is a polynomial, S * D = N with
+    N = sum_Y n_Y * (D / D_Y), and top(N) <= hi + deg D, so S lies under hi.
+    """
+    tops = [
+        monomial_div(num.max_exponents(), _degree(part.denominator))
+        for part, num in zip(core.parts, numerators)
+    ]
+    return tuple(max(col) for col in zip(*tops))
+
+
+def _series_sum(
+    core: _FamilyCore, numerators: list[LaurentPolynomial], hi: Monomial
+) -> LaurentPolynomial:
+    """T: the sum over Y of the series of n_Y / D_Y, truncated at hi.
+
+    Each copy of a denominator binomial ``1 - x^c`` is one pass of the line
+    recurrence ``g[e] = f[e] + g[e - c]``, in place and in ascending q: c_q > 0,
+    so g[e - c] is final when e is reached.  Every c is >= 0, so no exponent
+    falls back under hi once it rises above it, and truncating commutes with
+    the division.  A series is kept as rows ``q -> {(a, t): coefficient}``.
+    """
+    total: dict[int, dict[tuple[int, int], int]] = {}
+    for part, num in zip(core.parts, numerators):
+        rows: dict[int, dict[tuple[int, int], int]] = {}
+        for (a, q, t), c in num.terms.items():
+            if a <= hi[0] and q <= hi[1] and t <= hi[2]:
+                rows.setdefault(q, {})[(a, t)] = c
+        if not rows:
+            continue  # n_Y / D_Y lies wholly above hi
+        for (_, cq, ct), mult in part.denominator:
+            for _ in range(mult):
+                for q in range(min(rows), hi[1] - cq + 1):
+                    row = rows.get(q)
+                    if not row:
+                        continue
+                    above = rows.setdefault(q + cq, {})
+                    for (a, t), c in row.items():
+                        if t + ct <= hi[2]:
+                            above[(a, t + ct)] = above.get((a, t + ct), 0) + c
+        for q, row in rows.items():
+            into = total.setdefault(q, {})
+            for at, c in row.items():
+                into[at] = into.get(at, 0) + c
+        del rows
+    out = LaurentPolynomial.zero(KNOT)
+    for q in sorted(total):
+        for (a, t), c in total.pop(q).items():
+            if c:
+                out.terms[(a, q, t)] = c
+    return out
+
+
+def _multiply_back(
+    core: _FamilyCore, total: LaurentPolynomial, numerators: list[LaurentPolynomial]
+) -> tuple[Monomial, int] | None:
+    """Exact check ``T * D == N = sum_Y n_Y * (D / D_Y)`` on packed ints.
+
+    No binomial of D changes the power of a, so the identity holds exactly
+    when it holds in every a-slice; a slice at a time keeps the packed ints
+    small.  Each side of a slice is Kronecker-packed into one Python int,
+    q/2 the more significant coordinate and t the less, one w-bit signed
+    digit per exponent of the box both sides live in.  w exceeds twice the
+    proven bound L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y)
+    on every digit of either side, so the packing is injective and the ints
+    are equal exactly when the polynomials are.  Each binomial copy is one
+    ``v -= v << shift``; N is summed over a balanced tree of the summands,
+    each pair of halves brought to the lcm of its denominators.  Returns
+    None on equality, otherwise the lowest exponent of T * D - N, in
+    (q, t, a) order, and the coefficient there.
+    """
+    lcm = Counter(dict(core.lcm))
+    copies = sum(lcm.values())
+    # Per side: its denominator, and the t-degree of its completion to D.
+    dens = [Counter()] + [Counter(dict(part.denominator)) for part in core.parts]
+    reach = [sum(c[2] * mult for c, mult in (lcm - d).items()) for d in dens]
+
+    def by_a(poly: LaurentPolynomial) -> dict[int, dict[tuple[int, int], int]]:
+        out: dict[int, dict[tuple[int, int], int]] = {}
+        for (a, q, t), c in poly.terms.items():
+            out.setdefault(a, {})[(q, t)] = c
+        return out
+
+    slices = [by_a(total)] + [by_a(num) for num in numerators]
+    witnesses = []
+    for a in sorted(set().union(*slices)):
+        sides = [s.pop(a, {}) for s in slices]  # T's slice, then each n_Y's
+        lo_q = min(q for side in sides for q, _ in side)
+        lo_t = min(t for side in sides for _, t in side)
+        width = max(max(t for _, t in side) + r for side, r in zip(sides, reach) if side)
+        width += 1 - lo_t
+        bound = sum(abs(c) for c in sides[0].values()) * core.lcm_peak
+        for side, den in zip(sides[1:], dens[1:]):
+            bound += sum(abs(c) for c in side.values()) << (copies - sum(den.values()))
+        nbytes = (bound.bit_length() + 8) // 8  # bound < 2^(w - 1), w = 8 * nbytes
+        w = 8 * nbytes
+
+        def index(q: int, t: int) -> int:
+            half, odd = divmod(q - lo_q, 2)
+            if odd:
+                raise IntegrityError(f"exponent q^{q} breaks the even q lattice")
+            return half * width + t - lo_t
+
+        def pack(side: dict[tuple[int, int], int]) -> int:
+            spots = [(index(q, t), c) for (q, t), c in side.items()]
+            size = (max((i for i, _ in spots), default=-1) + 1) * nbytes
+            v = 0
+            for sign in (1, -1):  # positive digits, then negative ones
+                buf = bytearray(size)
+                for i, c in spots:
+                    if c * sign > 0:
+                        buf[i * nbytes:(i + 1) * nbytes] = (c * sign).to_bytes(nbytes, "little")
+                v += sign * int.from_bytes(buf, "little")
+                del buf
+            return v
+
+        def times(v: int, steps: Counter) -> int:
+            for (_, cq, ct), mult in sorted(steps.items()):
+                shift = w * index(lo_q + cq, lo_t + ct)
+                for _ in range(mult):
+                    v -= v << shift
+            return v
+
+        def combine(pairs: list[tuple[dict, Counter]]) -> tuple[int, Counter]:
+            """Packed sum of n_Y * (L / D_Y) over the pairs, L the lcm of
+            their D_Y; halves are summed depth first, so few ints are alive."""
+            if len(pairs) == 1:
+                side, den = pairs[0]
+                return pack(side), den
+            v, d1 = combine(pairs[:len(pairs) // 2])
+            v2, d2 = combine(pairs[len(pairs) // 2:])
+            both = d1 | d2
+            v = times(v, both - d1)
+            v += times(v2, both - d2)
+            return v, both
+
+        rhs, _ = combine(list(zip(sides[1:], dens[1:])))  # at the root, L = D
+        diff = times(pack(sides[0]), lcm)
+        diff -= rhs
+        del rhs
+        if diff:
+            low = ((diff & -diff).bit_length() - 1) // w
+            digit = (diff >> (low * w)) & ((1 << w) - 1)
+            if digit >> (w - 1):
+                digit -= 1 << w
+            half, t = divmod(low, width)
+            witnesses.append(((a, lo_q + 2 * half, lo_t + t), digit))
+    return min(witnesses, key=lambda found: found[0][1:] + found[0][:1], default=None)
 
 
 def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> PropertyFlags:
@@ -221,24 +418,30 @@ def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> Prop
 def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     """The normalized (n, m) torus-knot invariant, or NonPolynomial.
 
-    Exact division by the common denominator, one binomial at a time,
-    succeeds exactly when gcd(n, m) = 1; otherwise the reason names the
-    binomial that left a remainder.  The quotient is stripped of its monomial
-    content and must start with constant term +1.  Results are immutable and
-    memoized.
+    Each summand n_Y / D_Y is expanded as a power series truncated at hi,
+    and the series add up to T.  The multiply-back certificate then compares
+    T * D with N = sum_Y n_Y * (D / D_Y) exactly, D the lcm of the D_Y.  If
+    they are equal, T is the invariant.  If not, the sum is not a polynomial
+    (a polynomial sum lies under hi, so T would be it); this happens exactly
+    when gcd(n, m) > 1, and the reason names the lowest term of T * D - N.
+    T is stripped of its monomial content and must start with constant term
+    +1.  Results are immutable and memoized.
     """
     req = KnotRequest(n, m)
-    bold = _assemble_numerator(req).substitute(MACD_TO_KNOT)
-    for binomial, mult in _family_core(n).denominator:
-        for copy in range(1, mult + 1):
-            try:
-                bold = exact_divide(bold, binomial)
-            except NonDivisibleError as err:
-                reason = f"division by ({binomial}), copy {copy} of {mult}: {err}"
-                return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
-    if bold.is_zero():
+    core = _family_core(n)
+    numerators = _numerators(req)
+    total = _series_sum(core, numerators, _series_bound(core, numerators))
+    witness = _multiply_back(core, total, numerators)
+    if witness is not None:
+        exps, diff = witness
+        reason = (
+            f"multiply-back check failed: T*D - N has lowest term {diff} "
+            f"at (a, q, t) = {exps}"
+        )
+        return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
+    if total.is_zero():
         raise IntegrityError(f"({n},{m}): invariant vanished identically")
-    content, normalized = bold.divide_content()
+    content, normalized = total.divide_content()
     if normalized.constant_term != 1:
         raise IntegrityError(
             f"({n},{m}): lowest term is {normalized.constant_term}, expected +1; "
@@ -310,7 +513,7 @@ def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
     reproduce every P_k with k <= K, so at least one order past the fit.
     """
     _check_family(n, r)
-    framings = _family_core(n).framings
+    framings = [part.framing for part in _family_core(n).parts]
     count = len(framings)
     top = max(count, k_check)
     results = []

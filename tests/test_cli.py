@@ -61,10 +61,14 @@ def test_compute_json_bit_identical_across_runs(capsys):
 
 def test_compute_nonpolynomial_exit(capsys):
     code, out, err = run(capsys, "compute", "2", "4")
-    assert code == 2
+    assert code == cli.EXIT_NONPOLYNOMIAL == 5
     assert out == ""
     assert "gcd(2,4) = 2" in err
-    assert "division by (1 - q^4), copy 1 of 1: remainder" in err
+    assert "T*D - N has lowest term -1 at (a, q, t) = (0, 6, -10)" in err
+    # A bad request is a usage error, distinguishable by its exit status.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "0", "3"])
+    assert exc.value.code == 2
 
 
 def test_compute_raw_prints_content(capsys):
@@ -159,8 +163,11 @@ def test_specialize(capsys):
     code, out, _ = run(capsys, "specialize", "2", "3", "--at", "homfly")
     assert out == "1 + q^4 - a^2*q^2\n"
     code, _, err = run(capsys, "specialize", "2", "4", "--at", "homfly")
-    assert code == 2
-    assert "gcd(2,4) = 2; division by (1 - q^4), copy 1 of 1: remainder" in err
+    assert code == 5
+    assert (
+        "gcd(2,4) = 2; multiply-back check failed: "
+        "T*D - N has lowest term -1 at (a, q, t) = (0, 6, -10)"
+    ) in err
 
 
 def test_scan_stdout_and_file(tmp_path, capsys):

@@ -2,16 +2,23 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from torus_super.algebra import KNOT, MACD, LaurentPolynomial
 from torus_super.invariant import (
+    _bold_step,
     _family_core,
-    _weighted_numerators,
+    _multiply_back,
+    _numerators,
+    _series_bound,
+    _series_sum,
     GeneratingFunction,
+    IntegrityError,
     KnotRequest,
+    MACD_TO_KNOT,
     NonPolynomial,
     Superpolynomial,
     compute,
@@ -80,8 +87,8 @@ def test_even_pair_is_not_polynomial():
     result = compute(2, 4)
     assert isinstance(result, NonPolynomial)
     assert result.gcd == 2
-    # The reason names the denominator binomial that left the remainder.
-    assert "division by (1 - q^4), copy 1 of 1: remainder" in result.reason
+    # The reason names the lowest term of T*D - N, which disproves polynomiality.
+    assert "T*D - N has lowest term -1 at (a, q, t) = (0, 6, -10)" in result.reason
 
 
 def test_multiple_of_strands_is_not_polynomial():
@@ -121,18 +128,114 @@ def test_flags_and_normalization_shape():
             assert len(parities) == 1
 
 
-def test_weighted_numerators_match_generic_product():
-    # Each numerator is one expansion from the cofactor; the generic product
-    # of the expanded summand and the cofactor is the reference.
-    for n in range(1, 5):
+def _binomial_power(alphabet, b, mult):
+    """(1 - x^b)^mult by generic products."""
+    one = LaurentPolynomial.one(alphabet)
+    factor = LaurentPolynomial(alphabet, {(0,) * len(alphabet): 1, tuple(b): -1})
+    out = one
+    for _ in range(mult):
+        out = out * factor
+    return out
+
+
+def _generic_sides(n, m):
+    """([n_Y], N) from the family's factored data by generic products only:
+    N = sum_Y n_Y * (D / D_Y), with D the lcm of the bold denominators."""
+    core = _family_core(n)
+    k, r = m // n, m % n
+    e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
+    lcm = Counter(dict(core.lcm))
+    numerators, total = [], LaurentPolynomial.zero(KNOT)
+    for part in core.parts:
+        t_q, t_t, _ = part.framing
+        shift = tuple(x + y for x, y in zip(part.prefactor, (e + k * t_q, m + k * t_t, 0)))
+        num = LaurentPolynomial(MACD, {shift: part.coeff}) * cell_elementary(part.partition, r)
+        for b, mult in part.numerator:
+            num = num * _binomial_power(MACD, b, mult)
+        num = num.substitute(MACD_TO_KNOT)
+        numerators.append(num)
+        for step, mult in (lcm - Counter(dict(part.denominator))).items():
+            num = num * _binomial_power(KNOT, step, mult)
+        total = total + num
+    return numerators, total
+
+
+def _times_denominator(poly, n):
+    for step, mult in _family_core(n).lcm:
+        poly = poly * _binomial_power(KNOT, step, mult)
+    return poly
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_defining_identity(n):
+    # P * D = N exactly, expanded by generic products: no series, no packing.
+    for m in range(1, 13):
+        if math.gcd(n, m) != 1:
+            continue
+        result = compute(n, m)
+        numerators, total = _generic_sides(n, m)
+        assert _numerators(KnotRequest(n, m)) == numerators, (n, m)
+        raw = result.terms.shifted(result.content)
+        assert _times_denominator(raw, n) == total, (n, m)
+
+
+def _lowest_term(poly):
+    """Lowest term in (q, t, a) order, the packing's significance order."""
+    e = min(poly.terms, key=lambda x: (x[1], x[2], x[0]))
+    return e, poly.terms[e]
+
+
+def test_nonpolynomial_witness_is_lowest_term_of_the_difference():
+    # The witness is recomputed with plain products, apart from the packed check.
+    for n in range(2, 5):
+        for m in range(1, 13):
+            if math.gcd(n, m) == 1:
+                continue
+            result = compute(n, m)
+            assert isinstance(result, NonPolynomial), (n, m)
+            core = _family_core(n)
+            numerators = _numerators(KnotRequest(n, m))
+            series = _series_sum(core, numerators, _series_bound(core, numerators))
+            _, total = _generic_sides(n, m)
+            exps, diff = _lowest_term(_times_denominator(series, n) - total)
+            assert f"lowest term {diff} at (a, q, t) = {exps}" in result.reason, (n, m)
+            assert _multiply_back(core, series, numerators) == (exps, diff)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 7), (4, 5), (5, 6)])
+def test_multiply_back_rejects_corrupted_series(n, m):
+    core = _family_core(n)
+    numerators = _numerators(KnotRequest(n, m))
+    hi = _series_bound(core, numerators)
+    series = _series_sum(core, numerators, hi)
+    assert _multiply_back(core, series, numerators) is None
+    terms = series.sorted_terms()
+    for e, c in (terms[0], terms[len(terms) // 2], terms[-1]):
+        for delta in (1, -1):
+            bumped = series + LaurentPolynomial(KNOT, {e: delta})
+            assert _multiply_back(core, bumped, numerators) is not None, (e, delta)
+        dropped = LaurentPolynomial(KNOT, {x: y for x, y in terms if x != e})
+        assert _multiply_back(core, dropped, numerators) is not None, e
+    # hi is tight in q here, so truncating one step below it loses terms.
+    assert series.max_exponents()[1] == hi[1]
+    short = LaurentPolynomial(KNOT, {x: y for x, y in terms if x[1] < hi[1]})
+    assert _multiply_back(core, short, numerators) is not None
+
+
+def test_denominators_lie_on_series_cone():
+    for n in range(1, 9):
         core = _family_core(n)
-        for r in range(n):
-            weighted = _weighted_numerators(n, r)
-            assert len(weighted) == len(core.partitions)
-            for y, summand, got in zip(core.partitions, core.summands, weighted):
-                num, den = summand.expand()
-                assert den == LaurentPolynomial.one(MACD)
-                assert got == num * cell_elementary(y, r), (n, r, y)
+        steps = [step for step, _ in core.lcm]
+        steps += [step for part in core.parts for step, _ in part.denominator]
+        assert set(steps) <= {step for step, _ in core.lcm}
+        for a, q, t in steps:
+            assert a == 0 and q > 0 and t >= 0, (n, (a, q, t))
+    assert _bold_step((0, 1, 0)) == (0, 2, 0)  # t -> q^2
+    # A -> -a^2 t has sign -1 and an a; t/q -> t^-2 has no q; t^2/q -> q^2 t^-2
+    # and q/t^2 -> q^-2 t^2 leave the cone in t and in q.
+    for b in [(0, 0, 1), (-1, 1, 0), (-1, 2, 0), (1, -2, 0)]:
+        with pytest.raises(IntegrityError):
+            _bold_step(b)
 
 
 def test_verify_properties_identity():
