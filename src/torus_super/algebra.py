@@ -15,6 +15,7 @@ once it is over its common denominator.
 from __future__ import annotations
 
 import heapq
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -53,15 +54,15 @@ def unit_monomial(alphabet: Alphabet) -> Monomial:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def monomial_inverse(m: Monomial) -> Monomial:
-    return tuple(-x for x in m)
+    return tuple(map(operator.neg, m))
 
 
 def _check_same_alphabet(a: "LaurentPolynomial", b: "LaurentPolynomial") -> None:

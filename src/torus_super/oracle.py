@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .algebra import (
@@ -26,6 +26,7 @@ from .algebra import (
     FactoredRational,
     LaurentPolynomial,
     Monomial,
+    PRIME_61,
     NonDivisibleError,
     SubstitutionMap,
     exact_divide,
@@ -49,211 +50,218 @@ MAX_DEGREE = 5
 
 # -- bivariate gcd (used only to keep oracle fractions reduced) -----------------
 #
-# Dense univariate polynomials over Q are plain lists of Fractions (index =
-# exponent, no trailing zeros).  A bivariate polynomial becomes a list of
-# those, indexed by the main variable's exponent.  The gcd evaluates the
-# coefficient variable at integers, takes monic univariate gcds, interpolates
-# the result back (scaled by the gcd of the leading coefficients, which the
-# true leading coefficient divides), and certifies by exact division.
-# Coprime inputs, the common case, exit after a single evaluation.
+# Brown's dense modular algorithm (W. S. Brown, J. ACM 18(4), 1971) on ints.
+# A polynomial is packed as rows over the main variable y (of lower degree)
+# of coefficient lists in x, content and denominators cleared; univariate
+# polynomials mod p are ascending residue lists with no trailing zeros.  Mod
+# each 61-bit prime dividing no leading coefficient, the gcd is the gcd of
+# the x-contents times a primitive part interpolated through x = 0, 1, ...
+# from monic univariate gcds scaled by gamma = gcd(lc_y f, lc_y g); images
+# above the lowest y-degree seen (unlucky points) are dropped.  Images of
+# successive primes, scaled to the gcd of the integer leading coefficients,
+# are joined by CRT: a higher degree (an unlucky prime) is dropped, a lower
+# one restarts the lift.  The primitive part C of the symmetric lift is
+# certified by exact division of both inputs.  No image has lower degree
+# than the true gcd G in either variable and C reduces to the last one, so a
+# certified C divides G with G's degrees: it is G up to a scalar, and lowest
+# terms are proven.  An image of y-degree 0 with constant content proves 1.
+
+_MAX_PRIMES = 16
 
 
-def _p1_trim(a: list[Fraction]) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37: exact for 37 < n < 3.3e24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    )
+
+
+def _trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _p1_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _p1_trim(out)
-
-
-def _p1_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        shift = len(rem) - len(b)
-        quot[shift] = c
-        for i, y in enumerate(b):
-            rem[shift + i] -= c * y
-        _p1_trim(rem)
-        if len(rem) >= len(b) and not rem[-1]:
-            _p1_trim(rem)
-    return _p1_trim(quot), rem
-
-
-def _p1_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _p1_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
-def _p1_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _p1_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact univariate division")
-    return q
-
-
-def _p1_eval(a: list[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+def _eval_p(a: list[int], x: int, p: int) -> int:
+    acc = 0
     for c in reversed(a):
-        acc = acc * x + c
+        acc = (acc * x + c) % p
     return acc
 
 
-def _p2_content(f: list[list[Fraction]]) -> list[Fraction]:
-    g: list[Fraction] = []
-    for coeff in f:
-        if coeff:
-            g = _p1_gcd(g, coeff) if g else [c / coeff[-1] for c in coeff]
-            if len(g) == 1:
-                break
-    return g or []
+def _mul_p(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return [c % p for c in out]
 
 
-def _p2_primitive(f: list[list[Fraction]]) -> list[list[Fraction]]:
-    cont = _p2_content(f)
-    if not cont or len(cont) == 1:
-        return f
-    return [_p1_exact_div(c, cont) if c else [] for c in f]
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    top = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * max(len(a) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + top] * inv % p
+        if c:
+            rem[k:k + top] = [(r - c * d) % p for r, d in zip(rem[k:k + top], b)]
+    return quot, _trim(rem[:top])
 
 
-def _p2_trim(f: list[list[Fraction]]) -> list[list[Fraction]]:
-    while f and not f[-1]:
-        f.pop()
-    return f
+def _gcd_p(polys: list[list[int]], p: int) -> list[int]:
+    """Monic gcd of univariate polynomials; that of zeros is zero."""
+    a: list[int] = []
+    for b in polys:
+        while b:
+            a, b = b, _divmod_p(a, b, p)[1]
+        if len(a) == 1:
+            break
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
 
 
-def _interpolate(points: list[tuple[int, list[Fraction]]], width: int) -> list[list[Fraction]]:
-    """Newton interpolation of each main-variable coefficient through points."""
-    xs = [Fraction(x) for x, _ in points]
-    count = len(points)
-    out: list[list[Fraction]] = []
-    for j in range(width):
-        dd = [vals[j] if j < len(vals) else Fraction(0) for _, vals in points]
-        for k in range(1, count):
-            for i in range(count - 1, k - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-        poly = [dd[count - 1]]
-        for i in range(count - 2, -1, -1):
-            shifted = [Fraction(0)] + poly
-            for k, c in enumerate(poly):
-                shifted[k] -= xs[i] * c
-            shifted[0] += dd[i]
-            poly = shifted
-        out.append(_p1_trim(poly))
-    return out
+def _pack(poly: LaurentPolynomial, main: int) -> list[list[int]]:
+    lo, hi = poly.min_exponents(), poly.max_exponents()
+    minor = 1 - main
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    rows = [[0] * (hi[minor] - lo[minor] + 1) for _ in range(hi[main] - lo[main] + 1)]
+    for e, c in poly.terms.items():
+        rows[e[main] - lo[main]][e[minor] - lo[minor]] = c.numerator * (scale // c.denominator)
+    return [_trim(row) for row in rows]
+
+
+def _gcd_mod(
+    f: list[list[int]], g: list[list[int]], p: int, confirm: int
+) -> list[list[int]] | None:
+    """Gcd of packed f and g mod p, up to a scalar; None when it is 1.
+
+    The primitive part is accepted once ``need`` points of the lowest
+    y-degree fix it and ``confirm`` more add nothing to its Newton form.
+    """
+    f, g = ([_trim([c % p for c in row]) for row in poly] for poly in (f, g))
+    content = _gcd_p(f + g, p)
+    lc_f, lc_g = f[-1], g[-1]
+    dx_f, dx_g = max(map(len, f)) - 1, max(map(len, g)) - 1
+    gamma = _gcd_p([lc_f, lc_g], p)
+    need = len(gamma) + min(dx_f, dx_g)  # 1 + a bound on deg_x of the scaled image
+    # Only points where a leading coefficient or the cofactors' resultant vanishes fail.
+    limit = need + confirm + len(lc_f) + len(lc_g) + (len(f) - 1) * dx_g + dx_f * (len(g) - 1)
+    best = 0
+    for x in range(limit):
+        if not _eval_p(lc_f, x, p) or not _eval_p(lc_g, x, p):
+            continue
+        h = _gcd_p([[_eval_p(row, x, p) for row in poly] for poly in (f, g)], p)
+        if len(h) == 1:
+            image = [[1]]
+            break
+        if not best or len(h) < best:
+            best, points, agreed, basis = len(h), 0, 0, [1]
+            image = [[] for _ in h]
+        elif len(h) > best:
+            continue
+        scale = _eval_p(gamma, x, p)
+        inv = pow(_eval_p(basis, x, p), -1, p)
+        changed = False
+        for j, v in enumerate(h):
+            r = (v * scale - _eval_p(image[j], x, p)) * inv % p
+            if r:
+                changed = True
+                row = image[j] + [0] * (len(basis) - len(image[j]))
+                image[j] = [(c + r * b) % p for c, b in zip(row, basis)]
+        basis = [(lo - x * hi) % p for lo, hi in zip([0] + basis, basis + [0])]
+        points += 1
+        agreed = agreed + 1 if points > need and not changed else 0
+        if agreed == confirm:
+            image = [_trim(row) for row in image]
+            part = _gcd_p(image, p)
+            image = [_divmod_p(row, part, p)[0] for row in image]
+            break
+    else:
+        raise ArithmeticError(f"bivariate gcd: no stable image mod {p} in {limit} points")
+    if len(content) == 1:
+        return image if len(image) > 1 else None
+    return [_mul_p(content, row, p) if row else row for row in image]
 
 
 def _gcd_terms(
-    fa: dict[Monomial, Coeff], fb: dict[Monomial, Coeff]
-) -> dict[Monomial, Fraction]:
-    """Gcd of two ordinary (q, t) polynomials given as exponent dicts."""
-    deg_q = max(max(e[0] for e in fa), max(e[0] for e in fb))
-    deg_t = max(max(e[1] for e in fa), max(e[1] for e in fb))
-    main = 0 if deg_q <= deg_t else 1  # univariate gcds along the sparser axis
+    f: LaurentPolynomial, g: LaurentPolynomial
+) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
+    """Gcd of two nonzero (q, t) Laurent polynomials, and the cofactors.
 
-    def pack(terms: dict[Monomial, Coeff]) -> list[list[Fraction]]:
-        md = max(e[main] for e in terms)
-        od = max(e[1 - main] for e in terms)
-        out: list[list[Fraction]] = [[Fraction(0)] * (od + 1) for _ in range(md + 1)]
-        for e, c in terms.items():
-            out[e[main]][e[1 - main]] += Fraction(c)
-        return _p2_trim([_p1_trim(c) for c in out])
-
-    def unpack(f: list[list[Fraction]]) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        for em, coeff in enumerate(f):
-            for eo, c in enumerate(coeff):
-                if c:
-                    out[(em, eo) if main == 0 else (eo, em)] = c
-        return out
-
-    f, g = pack(fa), pack(fb)
-    cont = _p1_gcd(_p2_content(f), _p2_content(g))
-    f, g = _p2_primitive(f), _p2_primitive(g)
-    if len(f) == 1 or len(g) == 1:
-        return unpack([cont])
-
-    lead_f, lead_g = f[-1], g[-1]
-    gamma = _p1_gcd(lead_f, lead_g)
-    need = len(gamma) + min(max(len(c) for c in f), max(len(c) for c in g)) - 1
-    limit = max(len(c) for c in f) + max(len(c) for c in g) + len(gamma)
-
-    points: list[tuple[int, list[Fraction]]] = []
-    best: int | None = None
-    for x in itertools.count():
-        if x > 4 * limit + 16:
-            raise ArithmeticError("bivariate gcd ran out of evaluation points")
-        if _p1_eval(lead_f, x) == 0 or _p1_eval(lead_g, x) == 0:
+    Returns ``(c, f / c, g / c)``: ``c`` is an integer primitive polynomial
+    equal to the gcd up to a rational scalar and a monomial, and the
+    quotients are those of its certificate.
+    """
+    spans = [max(a - b, c - d) for a, b, c, d in zip(
+        f.max_exponents(), f.min_exponents(), g.max_exponents(), g.min_exponents())]
+    main = 0 if spans[0] <= spans[1] else 1
+    fp, gp = _pack(f, main), _pack(g, main)
+    # Leading coefficients in both lex orders: y first, and x first.
+    guard = [fp[-1][-1], gp[-1][-1]] + [
+        next(row[-1] for row in reversed(rows) if len(row) == max(map(len, rows)))
+        for rows in (fp, gp)
+    ]
+    lead = gcd(fp[-1][-1], gp[-1][-1])
+    lift: list[list[int]] = []
+    modulus = failures = 0
+    for p in itertools.islice(filter(_is_prime, range(PRIME_61, 1, -2)), _MAX_PRIMES):
+        if any(c % p == 0 for c in guard):
             continue
-        h = _p1_gcd(
-            _p1_trim([_p1_eval(c, x) for c in f]),
-            _p1_trim([_p1_eval(c, x) for c in g]),
-        )
-        if len(h) == 1:
-            return unpack([cont])
-        if best is None or len(h) < best:
-            best, points = len(h), []
-        elif len(h) > best:
+        rows = _gcd_mod(fp, gp, p, 1 + failures)
+        if rows is None:
+            return LaurentPolynomial.one(QT), f, g
+        width = max(map(len, rows))
+        scale = lead * pow(rows[-1][-1], -1, p) % p
+        rows = [[c * scale % p for c in row] + [0] * (width - len(row)) for row in rows]
+        if not lift or (len(rows), width) < (len(lift), len(lift[0])):
+            lift, modulus = rows, p
+        elif (len(rows), width) > (len(lift), len(lift[0])):
             continue
-        scale = _p1_eval(gamma, x)
-        points.append((x, [c * scale for c in h]))
-        if len(points) < need:
-            continue
-        candidate = _p2_primitive(_interpolate(points, best))
-        full = [_p1_mul(c, cont) for c in candidate] if len(cont) > 1 else candidate
-        probe = LaurentPolynomial(QT, unpack(full))
+        else:
+            inv = pow(modulus, -1, p)
+            lift = [
+                [u + modulus * ((v - u) * inv % p) for u, v in zip(old, new)]
+                for old, new in zip(lift, rows)
+            ]
+            modulus *= p
+        terms = {
+            (ey, ex) if main == 0 else (ex, ey): c - modulus if 2 * c > modulus else c
+            for ey, row in enumerate(lift)
+            for ex, c in enumerate(row)
+            if c
+        }
+        common = gcd(*terms.values())
+        candidate = LaurentPolynomial(QT, {e: c // common for e, c in terms.items()})
         try:
-            exact_divide(LaurentPolynomial(QT, dict(fa)), probe)
-            exact_divide(LaurentPolynomial(QT, dict(fb)), probe)
+            return candidate, exact_divide(f, candidate), exact_divide(g, candidate)
         except NonDivisibleError:
-            need = limit  # unlucky sample set; widen once, then give up above
-            continue
-        return unpack(full)
-    raise AssertionError("unreachable")
+            failures += 1
+    raise ArithmeticError(f"bivariate gcd: no certified gcd within {_MAX_PRIMES} primes")
 
 
 def _reduce_fraction(
     num: LaurentPolynomial, den: LaurentPolynomial
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Cancel the polynomial gcd of a (q, t) fraction, contents aside."""
-    num_ord = num.shifted(monomial_inverse(num.content()))
-    den_ord = den.shifted(monomial_inverse(den.content()))
-    g = _gcd_terms(num_ord.terms, den_ord.terms)
-    if len(g) <= 1:
-        return num, den
-    gpoly = LaurentPolynomial(QT, g)
-    return exact_divide(num, gpoly), exact_divide(den, gpoly)
+    """Lowest terms of a (q, t) fraction: the cofactors of its certified gcd."""
+    _, num, den = _gcd_terms(num, den)
+    return num, den
 
 
 class RationalFunction:
     """Quotient of two exact (q, t) Laurent polynomials in lowest terms.
 
-    A shared monomial content is stripped, the bivariate gcd of every (q, t)
-    fraction is cancelled, and the denominator's leading sign is normalized.
-    The gcd keeps the Gram-Schmidt sizes tame: without it, ``torus-super
-    verify oracle --max-size 4`` did not finish in two minutes on a 2-core
-    machine, against seconds with it.  Equality goes through cross
-    multiplication.
+    A shared monomial content is stripped, every (q, t) fraction is replaced
+    by the certified cofactors of its bivariate gcd (so ``num`` and ``den``
+    are fixed only up to a common rational scalar), and the denominator's
+    leading sign is normalized.  The gcd keeps the Gram-Schmidt sizes tame:
+    without it, ``torus-super verify oracle --max-size 4`` ran for over two
+    minutes on a 2-core machine; with it the run takes about a second.
+    Equality goes through cross multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -268,31 +276,22 @@ class RationalFunction:
         if num.is_zero():
             den = LaurentPolynomial.one(num.alphabet)
         elif num == den:
-            num = LaurentPolynomial.one(num.alphabet)
-            den = LaurentPolynomial.one(num.alphabet)
-        elif den.term_count == 1:
-            # Monomial denominators are units: absorb them into the numerator.
-            exps, c = next(iter(den.terms.items()))
-            num = num.shifted(tuple(-x for x in exps), Fraction(1, 1) / c)
-            den = LaurentPolynomial.one(num.alphabet)
+            num = den = LaurentPolynomial.one(num.alphabet)
         else:
-            c_num = num.content()
-            c_den = den.content()
-            common = tuple(min(a, b) for a, b in zip(c_num, c_den))
-            if any(common):
-                inv = tuple(-x for x in common)
-                num = num.shifted(inv)
-                den = den.shifted(inv)
-            if len(num.alphabet) == 2:
-                num, den = _reduce_fraction(num, den)
-                if den.term_count == 1:
-                    exps, c = next(iter(den.terms.items()))
-                    num = num.shifted(tuple(-x for x in exps), Fraction(1, 1) / c)
-                    den = LaurentPolynomial.one(num.alphabet)
-        lead = max(den.terms) if den.terms else None
-        if lead is not None and den.terms[lead] < 0:
-            num = -num
-            den = -den
+            if den.term_count > 1:
+                common = tuple(map(min, num.content(), den.content()))
+                if any(common):
+                    num = num.shifted(monomial_inverse(common))
+                    den = den.shifted(monomial_inverse(common))
+                if len(num.alphabet) == 2:
+                    num, den = _reduce_fraction(num, den)
+            if den.term_count == 1:
+                # Monomial denominators are units: absorb them into the numerator.
+                exps, c = next(iter(den.terms.items()))
+                num = num.shifted(monomial_inverse(exps), Fraction(1, 1) / c)
+                den = LaurentPolynomial.one(num.alphabet)
+        if den.terms[max(den.terms)] < 0:
+            num, den = -num, -den
         self.num = num
         self.den = den
 

@@ -1,13 +1,18 @@
 """Brute-force symmetric-function checks of the closed-form ingredients."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from torus_super.algebra import LaurentPolynomial
+from torus_super import oracle
+from torus_super.algebra import PRIME_61, LaurentPolynomial, exact_divide
 from torus_super.oracle import (
     QT,
     RationalFunction,
+    _gcd_terms,
+    _reduce_fraction,
     macdonald_P,
     macdonald_P_mbasis,
     monomial_symmetric,
@@ -123,3 +128,124 @@ def test_cauchy_kernel_principal_specialization(order):
 def test_cauchy_kernel_capped():
     with pytest.raises(ValueError):
         verify_cauchy(4, 4, 4)
+
+
+# -- the modular bivariate gcd -------------------------------------------------
+
+ONE = LaurentPolynomial.one(QT)
+
+
+def _random_qt(rng, max_terms, fractions):
+    """Ordinary (q, t) polynomial with a nonzero constant term."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        c = rng.choice([-9, -5, -2, -1, 1, 3, 4, 8])
+        if fractions:
+            c = Fraction(c, rng.randint(1, 7))
+        terms[(rng.randint(0, 3), rng.randint(0, 3))] = c
+    terms[(0, 0)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return qt(terms)
+
+
+def _same_up_to_unit(a, b):
+    """a and b divide each other: equal up to a scalar and a monomial."""
+    return exact_divide(a, b).term_count == 1 and exact_divide(b, a).term_count == 1
+
+
+def _seeded_triples(seed, count):
+    """(g, a, b) with a and b coprime: b = a*u + c for a nonzero constant c."""
+    rng = random.Random(seed)
+    for k in range(count):
+        fractions = k % 2 == 1
+        g = _random_qt(rng, 4, fractions)
+        a = _random_qt(rng, 4, fractions)
+        u = _random_qt(rng, 3, fractions)
+        b = a * u + qt({(0, 0): Fraction(rng.randint(1, 9), rng.randint(1, 3))})
+        yield g, a, b
+
+
+def test_gcd_of_seeded_multiples():
+    for g, a, b in _seeded_triples(20261018, 40):
+        f, h = g * a, g * b
+        c, qf, qh = _gcd_terms(f, h)
+        assert all(isinstance(v, int) for v in c.terms.values())
+        if g.term_count > 1:
+            assert _same_up_to_unit(c, g)
+        else:
+            assert c == ONE
+        assert qf * c == f and qh * c == h
+
+
+def test_gcd_of_coprime_and_constant_inputs_is_one():
+    cases = [
+        (qt({(0, 0): 1, (1, 0): 1}), qt({(0, 0): 1, (0, 1): 1})),
+        (qt({(0, 0): 3}), qt({(0, 0): Fraction(5, 2)})),
+        (qt({(0, 0): 7}), qt({(0, 0): 1, (2, 1): -4, (1, 3): 2})),
+        (qt({(0, 0): 1, (2, 1): -4}), qt({(-1, 2): Fraction(1, 3)})),
+        (qt({(0, 0): 1, (1, 1): -1}), qt({(0, 0): 1, (1, 1): 1})),
+    ]
+    for f, h in cases:
+        assert _gcd_terms(f, h) == (ONE, f, h)
+
+
+def _at_t_one(p):
+    return qt([((eq, 0), c) for (eq, _), c in p.terms.items()])
+
+
+def test_gcd_past_an_unlucky_evaluation_point(monkeypatch):
+    # At t = 1 both (q - 1)(t + 1)/2 and q t - 1 become multiples of q - 1,
+    # though they are coprime; t = 0 is skipped, as q t - 1 loses its q term.
+    f = qt({(1, 1): Fraction(1, 2), (1, 0): Fraction(1, 2),
+            (0, 1): Fraction(-1, 2), (0, 0): Fraction(-1, 2)})
+    h = qt({(1, 1): 1, (0, 0): -1})
+    assert _at_t_one(f) == _at_t_one(h) == qt({(1, 0): 1, (0, 0): -1})
+    assert _gcd_terms(f, h)[0] == ONE
+    # With a common factor the t = 1 image has one degree too many.
+    g = qt({(0, 0): 1, (1, 2): 3, (2, 0): -1})
+    c, qf, qh = _gcd_terms(g * f, g * h)
+    assert _same_up_to_unit(c, g)
+    assert qf * c == g * f and qh * c == g * h
+    # q - t and q - t - 3t(t - 1) meet at t = 0 and t = 1, the two points the
+    # degree bound asks for, and those images interpolate to q - t itself:
+    # only a further point shows that the gcd is 1, before any candidate
+    # reaches the certificate.
+    f = qt({(1, 0): 1, (0, 1): -1})
+    h = qt({(1, 0): 1, (0, 1): 2, (0, 2): -3})
+    certified = []
+    monkeypatch.setattr(oracle, "exact_divide", lambda *args: certified.append(args))
+    assert _gcd_terms(f, h)[0] == ONE
+    assert not certified
+
+
+# A primitive gcd with coefficients beyond one 61-bit prime, and two cofactors.
+BIG_G = qt({(2, 1): 3**45, (1, 0): -(2**64 + 13), (0, 2): 5**30, (0, 0): 1})
+BIG_A = qt({(1, 1): 1, (0, 0): 2})
+BIG_B = qt({(0, 2): 1, (1, 0): -3, (0, 0): 1})
+
+
+def test_gcd_with_coefficients_beyond_one_prime():
+    g, a, b = BIG_G, BIG_A, BIG_B
+    assert max(abs(v) for v in g.terms.values()) > PRIME_61
+    c, qa, qb = _gcd_terms(g * a, g * b)
+    assert c == g or c == -g  # g is primitive: the lift is g itself
+    assert qa * c == g * a and qb * c == g * b
+
+
+def test_gcd_prime_cap_names_its_cause(monkeypatch):
+    g, a, b = BIG_G, BIG_A, BIG_B
+    monkeypatch.setattr(oracle, "_MAX_PRIMES", 1)
+    with pytest.raises(ArithmeticError, match="within 1 primes"):
+        _gcd_terms(g * a, g * b)
+
+
+def test_reduce_fraction_gives_coprime_parts_of_the_same_fraction():
+    for g, a, b in _seeded_triples(20261019, 30):
+        shift = qt({(-2, 1): Fraction(3, 4)})
+        num, den = g * a * shift, g * b
+        rnum, rden = _reduce_fraction(num, den)
+        assert rnum * den == num * rden
+        # a and b are coprime by construction, so lowest terms are a / b up to
+        # a common scalar and monomial.
+        unit = exact_divide(rnum, a)
+        assert unit.term_count == 1
+        assert rden == exact_divide(b * unit, shift)
