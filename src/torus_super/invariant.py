@@ -483,6 +483,10 @@ class GeneratingFunction:
     def series(self, k_max: int) -> list[LaurentPolynomial]:
         """Taylor coefficients in z up to order k_max, exactly: the numerator
         divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward."""
+        if isinstance(k_max, bool) or not isinstance(k_max, int):
+            raise TypeError(f"series order must be an integer, got {k_max!r}")
+        if k_max < 0:
+            raise ValueError(f"series order must be non-negative, got {k_max}")
         out = [LaurentPolynomial.zero(KNOT)] * (k_max + 1)
         for j, coeff in self.numerator:
             if j <= k_max:

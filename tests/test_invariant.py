@@ -386,6 +386,17 @@ def test_generating_function_rejects_bad_families():
         generating_function(3, True)
 
 
+def test_series_rejects_bad_orders():
+    gf = generating_function(2, 1)
+    for order in (True, False, 2.0, "3", None):
+        with pytest.raises(TypeError, match="series order must be an integer"):
+            gf.series(order)
+    for order in (-1, -3):
+        with pytest.raises(ValueError, match="non-negative"):
+            gf.series(order)
+    assert gf.series(0) == [LaurentPolynomial.one(KNOT)]
+
+
 def test_generating_function_json_round_trip():
     gf = generating_function(2, 1)
     back = generating_function_from_json(generating_function_to_json(gf))

@@ -1,6 +1,8 @@
 """Brute-force symmetric-function checks of the closed-form ingredients."""
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -249,3 +251,137 @@ def test_reduce_fraction_gives_coprime_parts_of_the_same_fraction():
         unit = exact_divide(rnum, a)
         assert unit.term_count == 1
         assert rden == exact_divide(b * unit, shift)
+
+
+# -- RationalFunction: canonical form and lowest terms -------------------------
+
+BINOMIALS = [qt({(0, 0): 1, (a, b): -1}) for a, b in [(1, 0), (0, 1), (1, 1), (2, 1), (0, 2)]]
+
+
+def _binomial_product(rng, count):
+    out = ONE
+    for _ in range(count):
+        out = out * rng.choice(BINOMIALS)
+    return out
+
+
+def _seeded_fractions(seed, count):
+    """(num, den) over (q, t): denominators drawn from a few shared binomials,
+    numerators partly made of the same binomials, so sums and products cancel."""
+    rng = random.Random(seed)
+    for k in range(count):
+        unit = Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 4))
+        shift = qt({(rng.randint(-2, 2), rng.randint(-2, 2)): unit})
+        num = _binomial_product(rng, rng.randint(0, 2)) * _random_qt(rng, 3, k % 2 == 1) * shift
+        den = _binomial_product(rng, rng.randint(1, 3)) * _random_qt(rng, 2, False)
+        yield num, den
+
+
+def _assert_canonical(rf):
+    num, den = rf.num, rf.den
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1
+    assert den.terms[max(den.terms)] > 0
+    assert den.content() == (0,) * len(den.alphabet)
+
+
+def _assert_lowest_terms(rf):
+    _assert_canonical(rf)
+    if rf.num.is_zero():
+        assert rf.den == LaurentPolynomial.one(rf.num.alphabet)
+    else:
+        assert _gcd_terms(rf.num, rf.den)[0].term_count == 1
+
+
+def _naive(op, a, b):
+    """The cross-multiplied num and den of ``a op b`` from raw parts."""
+    (n1, d1), (n2, d2) = a, b
+    if op == "+":
+        return n1 * d2 + n2 * d1, d1 * d2
+    if op == "-":
+        return n1 * d2 - n2 * d1, d1 * d2
+    if op == "*":
+        return n1 * n2, d1 * d2
+    return n1 * d2, d1 * n2
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _fraction_pairs():
+    fractions = list(_seeded_fractions(20261020, 16))
+    x = (qt({(0, 0): 1, (1, 0): 1}), qt({(0, 0): 1, (0, 1): -1}))
+    y = (qt({(0, 0): 2, (1, 1): Fraction(-1, 3)}), qt({(0, 0): 1, (2, 1): -1}))
+    cases = [(x, y), (x, x), (x, (-x[0], x[1])), (x, (x[1], x[0])), (y, (y[1], y[0] * 3))]
+    # Sums whose numerator shares a factor with the common part of the denominators:
+    # 1/((1-q)(1-t)) - 1/((1-q)(1-qt)) = t/((1-t)(1-qt)), and 1/(1-q^2) + q/(1-q^2).
+    one_minus_q, one_minus_t, one_minus_qt = BINOMIALS[0], BINOMIALS[1], BINOMIALS[2]
+    cases.append(((ONE, one_minus_q * one_minus_t), (-ONE, one_minus_q * one_minus_qt)))
+    one_minus_q2 = qt({(0, 0): 1, (2, 0): -1})
+    cases.append(((ONE, one_minus_q2), (qt({(1, 0): 1}), one_minus_q2)))
+    cases += list(zip(fractions[::2], fractions[1::2]))
+    cases += [(fractions[0], fractions[0]), (fractions[1], (fractions[1][0] * -2, fractions[1][1]))]
+    return cases
+
+
+def test_rational_arithmetic_stays_in_lowest_terms():
+    for a, b in _fraction_pairs():
+        ra, rb = RationalFunction(*a), RationalFunction(*b)
+        for rf in (ra, rb):
+            _assert_lowest_terms(rf)
+        for op, fn in OPS.items():
+            out = fn(ra, rb)
+            num, den = _naive(op, a, b)
+            assert out.num * den == num * out.den, op
+            _assert_lowest_terms(out)
+
+
+def test_one_variable_fractions_take_the_generic_path():
+    t = ("t",)
+    a = (LaurentPolynomial(t, {(0,): 1, (2,): -1}), LaurentPolynomial(t, {(0,): 1, (1,): -1}))
+    b = (LaurentPolynomial(t, {(1,): Fraction(1, 2)}), LaurentPolynomial(t, {(1,): 3, (2,): -3}))
+    ra, rb = RationalFunction(*a), RationalFunction(*b)
+    # Never reduced: (1 - t^2) / (1 - t) keeps its common factor.
+    assert ra.den.term_count == 2
+    for op, fn in OPS.items():
+        out = fn(ra, rb)
+        num, den = _naive(op, a, b)
+        assert out.num * den == num * out.den, op
+        _assert_canonical(out)
+
+
+def test_scalar_operands():
+    x = RationalFunction(qt({(0, 0): 1, (1, 0): 1}), qt({(0, 0): 1, (0, 1): -1}))
+    one_minus_t = qt({(0, 0): 1, (0, 1): -1})
+    half = Fraction(1, 2)
+    cases = [
+        (x + 1, qt({(0, 0): 2, (1, 0): 1, (0, 1): -1})),
+        (1 + x, qt({(0, 0): 2, (1, 0): 1, (0, 1): -1})),
+        (x - 1, qt({(1, 0): 1, (0, 1): 1})),
+        (x * 2, qt({(0, 0): 2, (1, 0): 2})),
+        (2 * x, qt({(0, 0): 2, (1, 0): 2})),
+        (x / 2, qt({(0, 0): half, (1, 0): half})),
+        (x + half, qt({(0, 0): Fraction(3, 2), (1, 0): 1, (0, 1): -half})),
+        (half * x, qt({(0, 0): half, (1, 0): half})),
+        (x / half, qt({(0, 0): 2, (1, 0): 2})),
+    ]
+    for out, num in cases:
+        assert out == RationalFunction(num, one_minus_t)
+        _assert_lowest_terms(out)
+    assert x - x == 0 and x / x == 1 and x * 0 == 0
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(TypeError):
+        x + True
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            bad - x
+        with pytest.raises(TypeError):
+            x / bad
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            x * bad
