@@ -5,8 +5,8 @@ Whole winding families at once
 Fixing the strand count n and the winding remainder r, the invariants
 P(n, nk+r) for k = 0, 1, 2, ... assemble into a rational function of a
 bookkeeping variable z: a polynomial numerator over a product of simple
-poles, one pole per partition of n.  The closed form is calibrated and
-then re-expanded here as a round-trip check.
+poles, one pole per distinct framing of the partitions of n.  The closed
+form is calibrated and then re-expanded here as a round-trip check.
 """
 
 from torus_super import compute, generating_function

@@ -9,7 +9,6 @@ from .algebra import (
     NonDivisibleError,
     SubstitutionMap,
     exact_divide,
-    parse_polynomial,
 )
 from .invariant import (
     CalibrationError,
@@ -46,7 +45,6 @@ __all__ = [
     "compute",
     "exact_divide",
     "generating_function",
-    "parse_polynomial",
     "scan",
     "specialize",
     "verify_properties",

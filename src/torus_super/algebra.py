@@ -26,9 +26,6 @@ Coeff = Union[int, Fraction]
 MACD: Alphabet = ("q", "t", "A")
 KNOT: Alphabet = ("a", "q", "t")
 
-# Fixed Mersenne prime used for modular spot checks of exact identities.
-PRIME_61: int = (1 << 61) - 1
-
 
 class AlphabetMismatchError(ValueError):
     """Operands live over different variable alphabets."""
@@ -113,13 +110,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, alphabet: Alphabet, value: Coeff) -> "LaurentPolynomial":
         return cls(alphabet, {unit_monomial(alphabet): value})
-
-    @classmethod
-    def variable(cls, alphabet: Alphabet, name: str, power: int = 1) -> "LaurentPolynomial":
-        idx = alphabet.index(name)
-        exps = [0] * len(alphabet)
-        exps[idx] = power
-        return cls(alphabet, {tuple(exps): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -237,7 +227,7 @@ class LaurentPolynomial:
         c = self.content()
         return c, self.shifted(monomial_inverse(c))
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, sub: "SubstitutionMap") -> "LaurentPolynomial":
         if sub.source != self.alphabet:
@@ -256,65 +246,11 @@ class LaurentPolynomial:
         out.terms = {e: as_coeff(c) for e, c in acc.items()}
         return out
 
-    def eval_mod(self, point: Mapping[str, int], prime: int = PRIME_61) -> int:
-        """Evaluate at integer values modulo a fixed 61-bit prime.
-
-        Negative exponents use modular inverses, so every assigned value must
-        be nonzero mod the prime.
-        """
-        values = []
-        for name in self.alphabet:
-            if name not in point:
-                raise KeyError(f"no value for variable {name!r}")
-            v = point[name] % prime
-            if v == 0:
-                raise ZeroDivisionError(f"value for {name!r} vanishes mod prime")
-            values.append(v)
-        total = 0
-        for exps, c in self.terms.items():
-            m = 1
-            for v, e in zip(values, exps):
-                if e:
-                    m = m * pow(v, e, prime) % prime
-            if isinstance(c, int):
-                total = (total + c * m) % prime
-            else:
-                inv = pow(c.denominator % prime, -1, prime)
-                total = (total + c.numerator * inv * m) % prime
-        return total
-
-    # -- serialization -------------------------------------------------------
-
-    def canonical_text(self) -> str:
-        """One term per line, ascending lex: ``<exp_1> ... <exp_k> <coeff>``."""
-        lines = []
-        for exps, c in self.sorted_terms():
-            lines.append(" ".join(str(e) for e in exps) + f" {c}")
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.alphabet!r}, {self.terms!r})"
-
-
-def parse_polynomial(alphabet: Alphabet, text: str) -> LaurentPolynomial:
-    """Inverse of :meth:`LaurentPolynomial.canonical_text`."""
-    alphabet = tuple(alphabet)
-    arity = len(alphabet)
-    terms = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != arity + 1:
-            raise ValueError(f"line {lineno}: expected {arity} exponents and a coefficient")
-        exps = tuple(int(f) for f in fields[:arity])
-        coeff = Fraction(fields[arity])
-        terms.append((exps, coeff))
-    return LaurentPolynomial(alphabet, terms)
 
 
 def format_polynomial(p: LaurentPolynomial, mul: str = "*") -> str:
@@ -355,43 +291,16 @@ def _div_coeff(c: Coeff, d: Coeff) -> Coeff:
 def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient ``f / g``; raises :class:`NonDivisibleError` otherwise.
 
-    A two-term ``g = alpha*x^u + beta*x^v`` (u < v in lex order) is divided
-    line by line: on each line ``e + k(v - u)`` the quotient follows
-    ``h_k = f_k/alpha + s*h_{k-1}``, ``s = -beta/alpha``, upward from the
-    line's lowest term of ``f``.  It is exact iff every line's recurrence
-    ends at zero at its top term; a line that does not proves
-    non-divisibility.  Any other ``g`` goes through sparse reduction in lex
-    order after shifting both operands to ordinary polynomials; every
-    intermediate remainder of an exact division stays a multiple of ``g``,
-    so the first leading term not divisible by ``g``'s proves
-    non-divisibility.
+    Sparse reduction in lex order, after shifting both operands to ordinary
+    polynomials: every intermediate remainder of an exact division stays a
+    multiple of ``g``, so the first leading term not divisible by ``g``'s
+    proves non-divisibility.
     """
     _check_same_alphabet(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial.zero(f.alphabet)
     if f.is_zero():
-        return out
-    if len(g.terms) == 2:
-        (u, alpha), (v, beta) = sorted(g.terms.items())
-        step = monomial_div(v, u)
-        axis = next(i for i, x in enumerate(step) if x)  # step[axis] > 0
-        lines: dict[Monomial, dict[int, Coeff]] = {}
-        for e, c in f.terms.items():
-            k = e[axis] // step[axis]
-            lines.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = c
-        for base, line in lines.items():
-            h: Coeff = 0
-            top = max(line)
-            for k in range(min(line), top + 1):
-                h = _div_coeff(line.get(k, 0) - beta * h, alpha)
-                if h and k < top:
-                    out.terms[tuple(x + k * s - y for x, s, y in zip(base, step, u))] = h
-            if h:
-                end = tuple(x + top * s for x, s in zip(base, step))
-                raise NonDivisibleError(
-                    f"remainder {as_coeff(h * alpha)} at {end} on the line along {step}"
-                )
         return out
 
     content_f = f.content()

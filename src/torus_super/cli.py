@@ -32,6 +32,7 @@ from .invariant import (
     superpolynomial_from_json,
     superpolynomial_to_json,
     _check_family,
+    _check_scan,
 )
 from .partitions import enumerate_partitions
 
@@ -261,7 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_genfun(args: argparse.Namespace) -> int:
     _check_arguments(_check_family, args.n, args.r)
     try:
-        gf = generating_function(args.n, args.r, k_check=args.check_kmax)
+        gf = generating_function(args.n, args.r)
     except CalibrationError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
         return EXIT_CALIBRATION
@@ -270,6 +271,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _check_arguments(_check_scan, args.n_max, args.m_max)
     report = scan(args.n_max, args.m_max)
     csv_text = report.to_csv()
     if args.out:
@@ -324,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_genfun = sub.add_parser("genfun", help="closed form for a winding family")
     p_genfun.add_argument("n", type=int)
     p_genfun.add_argument("r", type=int)
-    p_genfun.add_argument(
-        "--check-kmax", type=int, default=3,
-        help="validate the series against direct computation up to this order",
-    )
     p_genfun.set_defaults(func=cmd_genfun)
 
     p_scan = sub.add_parser("scan", help="sweep a range of windings, emit CSV")

@@ -15,10 +15,12 @@ ints.  Equality proves T is the invariant; a difference proves the sum is
 not a polynomial, and its lowest term is the witness.  T is finally
 normalized by its monomial content so the lowest term is +1.
 
-A winding family P(n, nk + r) has one pole per partition of n, fixed by the
-framings, so its generating function is fit from compute() alone: the
-numerator is the pole product times the first p(n) orders, and the series
-is checked against direct computations at least one order past the fit.
+A winding family P(n, nk + r) has one pole per distinct framing of the
+partitions of n, since summands with the same framing merge into one
+geometric term.  Its generating function is therefore fit from compute()
+alone: the numerator is the pole product times the first orders, one per
+pole, and the series is checked against direct computations at least one
+order past the fit.
 """
 
 from __future__ import annotations
@@ -427,6 +429,11 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     T is stripped of its monomial content and must start with constant term
     +1.  Results are immutable and memoized.
     """
+    return _compute(n, m)
+
+
+def _compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
+    """compute() without its memo, for callers that keep what they need."""
     req = KnotRequest(n, m)
     core = _family_core(n)
     numerators = _numerators(req)
@@ -454,7 +461,9 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
 
 def specialize(result: Union[Superpolynomial, LaurentPolynomial], target: str) -> LaurentPolynomial:
     """Classical reductions: 'homfly' (t -> -1), then 'jones' (a -> q^2) or
-    'alexander' (a -> 1)."""
+    'alexander' (a -> 1).  A NonPolynomial has none: TypeError."""
+    if isinstance(result, NonPolynomial):
+        raise TypeError(f"({result.n},{result.m}) has no polynomial to specialize: {result.reason}")
     p = result.terms if isinstance(result, Superpolynomial) else result
     if p.alphabet != KNOT:
         raise ValueError("specialization expects an (a, q, t) polynomial")
@@ -506,23 +515,25 @@ def _check_family(n: int, r: int) -> None:
         raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
 
 
-def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
+def generating_function(n: int, r: int) -> GeneratingFunction:
     """Closed form for the winding family m = nk + r, fit from compute().
 
-    With p poles, one per partition of n, the invariants P_k = P(n, nk + r)
-    are computed for k <= K = max(p, k_check).  The per-step content ratio
-    nu must be the same for every k < K (CalibrationError otherwise); poles
-    are the substituted framing monomials divided by nu.  The numerator is
-    (sum_{k<p} P_k z^k) * prod (1 - z*pole) mod z^p, and the series must
+    P_k = P(n, nk + r) = sum_Y c_Y * f_Y^k, so summands whose framings f_Y
+    coincide merge into one geometric term: there is one pole per distinct
+    framing, p of them.  The invariants P_k are computed for
+    k <= K = max(p, 3), outside compute()'s memo.  The per-step content
+    ratio nu must be the same for every k < K (CalibrationError otherwise);
+    poles are the substituted framing monomials divided by nu.  The numerator
+    is (sum_{k<p} P_k z^k) * prod (1 - z*pole) mod z^p, and the series must
     reproduce every P_k with k <= K, so at least one order past the fit.
     """
     _check_family(n, r)
-    framings = [part.framing for part in _family_core(n).parts]
+    framings = {part.framing for part in _family_core(n).parts}
     count = len(framings)
-    top = max(count, k_check)
+    top = max(count, 3)
     results = []
     for k in range(top + 1):
-        res = compute(n, n * k + r)
+        res = _compute(n, n * k + r)
         if isinstance(res, NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
         results.append(res)
@@ -538,8 +549,6 @@ def generating_function(n: int, r: int, k_check: int = 3) -> GeneratingFunction:
     for t_q, t_t, _ in framings:
         _, image = MACD_TO_KNOT.image((t_q, t_t + n, 0))
         poles.append(monomial_div(image, nu))
-    if len(set(poles)) != len(poles):
-        raise CalibrationError(f"coincident poles {sorted(poles)}")
 
     # Multiply the first `count` orders by each 1 - z*pole, c_j -= pole * c_{j-1}
     # downward, truncating at z^count.
@@ -627,10 +636,21 @@ def _scan_one(n: int, m: int) -> ScanRow:
     )
 
 
+def _check_scan(n_max: int, m_max: int) -> None:
+    """Reject bounds that are not integers or that sweep no pair."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n_max, m_max)):
+        raise TypeError(f"scan bounds must be integers, got ({n_max!r}, {m_max!r})")
+    if n_max < 2 or m_max < 3:
+        raise ValueError(f"no pair 2 <= n <= {n_max}, n < m <= {m_max} to scan")
+
+
 def scan(n_max: int, m_max: int) -> ScanReport:
     """Sweep 2 <= n <= n_max, n < m <= m_max; coprime pairs must verify all
     flags, the rest must come back NonPolynomial.  Pairs run one after
-    another, so each row's millis is that pair's own wall time."""
+    another, so each row's millis is that pair's own wall time.  Bounds
+    that are not integers are a TypeError, and a sweep with no pair
+    (n_max < 2 or m_max < 3) is a ValueError."""
+    _check_scan(n_max, m_max)
     return ScanReport(rows=tuple(
         _scan_one(n, m) for n in range(2, n_max + 1) for m in range(n + 1, m_max + 1)
     ))

@@ -26,7 +26,6 @@ from .algebra import (
     FactoredRational,
     LaurentPolynomial,
     Monomial,
-    PRIME_61,
     NonDivisibleError,
     SubstitutionMap,
     exact_divide,
@@ -66,6 +65,8 @@ MAX_DEGREE = 5
 # certified C divides G with G's degrees: it is G up to a scalar, and lowest
 # terms are proven.  An image of y-degree 0 with constant content proves 1.
 
+# The Mersenne prime 2^61 - 1; the search for gcd primes runs down from it.
+PRIME_61: int = (1 << 61) - 1
 _MAX_PRIMES = 16
 
 
@@ -300,16 +301,15 @@ _SCALARS = (int, Fraction)
 
 
 class RationalFunction:
-    """Quotient of two exact Laurent polynomials; over (q, t), in lowest terms.
+    """Quotient of two exact Laurent polynomials in (q, t), in lowest terms.
 
     Canonical form: ``num`` and ``den`` have integer coefficients with no
     common integer factor, ``den`` has no monomial content and a positive
-    leading coefficient (:func:`_normalize`).  Over the (q, t) alphabet the
-    constructor also cancels the certified bivariate gcd, so equal (q, t)
-    values have identical ``num`` and ``den``; other alphabets are never
-    reduced.
+    leading coefficient (:func:`_normalize`).  The constructor also cancels
+    the certified bivariate gcd, so equal values have identical ``num`` and
+    ``den``.  Any alphabet other than (q, t) is a ``ValueError``.
 
-    (q, t) addition and multiplication follow Henrici (Knuth, TAOCP vol. 2,
+    Addition and multiplication follow Henrici (Knuth, TAOCP vol. 2,
     4.5.1), valid because the units of Q[q^-1, q, t^-1, t] are scalars times
     monomials.  For reduced ``n1/d1`` and ``n2/d2`` with ``g = gcd(d1, d2)``
     and ``d_i = g * d_i'``, ``s = n1 * d2' + n2 * d1'`` is prime to ``d1'``
@@ -332,33 +332,29 @@ class RationalFunction:
             den = LaurentPolynomial.one(num.alphabet)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.alphabet != den.alphabet:
-            raise ValueError("numerator and denominator over different alphabets")
-        if num.alphabet == QT and not num.is_zero():
+        if num.alphabet != QT or den.alphabet != QT:
+            raise ValueError(f"fractions are over {QT}, got {num.alphabet} / {den.alphabet}")
+        if not num.is_zero():
             num, den = _reduce_fraction(num, den)
         self.num, self.den = _normalize(num, den)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def const(cls, value: Coeff, alphabet: Alphabet = QT) -> "RationalFunction":
-        return cls(LaurentPolynomial.constant(alphabet, value))
+    def const(cls, value: Coeff) -> "RationalFunction":
+        return cls(LaurentPolynomial.constant(QT, value))
 
     @classmethod
     def _coprime(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
-        """``num / den`` with no gcd taken: for (q, t), known to be in lowest terms."""
+        """``num / den`` with no gcd taken, known to be in lowest terms."""
         out = cls.__new__(cls)
         out.num, out.den = _normalize(num, den)
         return out
 
     def _lift(self, other: object) -> "RationalFunction":
         if isinstance(other, _SCALARS):
-            return RationalFunction.const(other, self.num.alphabet)
+            return RationalFunction.const(other)
         return other if isinstance(other, RationalFunction) else NotImplemented
-
-    def _reduced_with(self, other: "RationalFunction") -> bool:
-        """Both operands (q, t), so both are in lowest terms."""
-        return self.num.alphabet == other.num.alphabet == QT
 
     # -- predicates ----------------------------------------------------------
 
@@ -387,8 +383,6 @@ class RationalFunction:
         if other.is_zero():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not self._reduced_with(other):
-            return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
         g, d1, d2 = _cancel(d1, d2)
         top = n1 * d2 + n2 * d1
         if g.term_count > 1 and not top.is_zero():
@@ -412,13 +406,10 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return RationalFunction.const(0, self.num.alphabet)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if self._reduced_with(other):
-            _, n1, d2 = _cancel(n1, d2)
-            _, n2, d1 = _cancel(n2, d1)
-            return RationalFunction._coprime(n1 * n2, d1 * d2)
-        return RationalFunction(n1 * n2, d1 * d2)
+            return RationalFunction.const(0)
+        _, n1, d2 = _cancel(self.num, other.den)
+        _, n2, d1 = _cancel(other.num, self.den)
+        return RationalFunction._coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -902,12 +893,12 @@ def schur_mbasis(y: Partition) -> dict[Partition, Fraction]:
 def verify_schur_degeneration(y: Partition) -> bool:
     """P_y at q = t equals the Schur polynomial (Jacobi-Trudi, independent)."""
     y = check_partition(y)
-    merge = SubstitutionMap(QT, ("t",), {"q": (1, (1,)), "t": (1, (1,))})
+    merge = SubstitutionMap(QT, QT, {"q": (1, (0, 1)), "t": (1, (0, 1))})
     schur = schur_mbasis(y)
     pm = macdonald_P_mbasis(y)
     for mu in set(schur) | set(pm):
         val = pm.get(mu, RF_ZERO).substitute(merge)
         want = schur.get(mu, Fraction(0))
-        if val != RationalFunction.const(want, ("t",)):
+        if val != RationalFunction.const(want):
             return False
     return True

@@ -8,7 +8,6 @@ import pytest
 from torus_super.algebra import (
     KNOT,
     MACD,
-    PRIME_61,
     AlphabetMismatchError,
     FactoredRational,
     LaurentPolynomial,
@@ -16,7 +15,6 @@ from torus_super.algebra import (
     SubstitutionMap,
     exact_divide,
     expand_binomial_product,
-    parse_polynomial,
 )
 from torus_super.invariant import MACD_TO_KNOT
 
@@ -83,8 +81,8 @@ def test_exact_divide_round_trip():
         f = random_poly(rng, KNOT, max_terms=30)
         g = random_poly(rng, KNOT, max_terms=30)
         assert exact_divide(f * g, g) == f
-    # Two-term divisors alpha*x^u + beta*x^v are divided line by line along
-    # v - u: steps along a, q or t alone and mixed ones, of either sign.
+    # Two-term divisors alpha*x^u + beta*x^v, the oracle's commonest: steps
+    # v - u along a, q or t alone and mixed ones, of either sign.
     for trial in range(400):
         step = [0, 0, 0] if trial % 2 else [rng.randint(-3, 3) for _ in KNOT]
         step[trial % 3] = rng.choice([-3, -2, -1, 1, 2, 3])
@@ -138,32 +136,6 @@ def test_substitution_requires_full_cover():
         SubstitutionMap(MACD, KNOT, {"q": (1, (0, 2, 2))})
 
 
-def test_eval_mod_basics():
-    q = LaurentPolynomial.variable(KNOT, "q")
-    point = {"a": 1, "q": 5, "t": 1}
-    assert q.eval_mod(point) == 5
-    q_inv = LaurentPolynomial.variable(KNOT, "q", -1)
-    assert q_inv.eval_mod(point) == pow(5, -1, PRIME_61)
-    assert q_inv.eval_mod(point) * 5 % PRIME_61 == 1
-    with pytest.raises(ZeroDivisionError):
-        q.eval_mod({"a": 1, "q": 0, "t": 1})
-    with pytest.raises(KeyError):
-        q.eval_mod({"a": 1, "q": 5})
-
-
-def test_eval_mod_respects_products():
-    rng = random.Random(20240820)
-    for _ in range(10):
-        f = random_poly(rng, KNOT)
-        g = random_poly(rng, KNOT)
-        h = exact_divide(f * g, g)
-        for _ in range(10):
-            point = {name: rng.randint(1, PRIME_61 - 1) for name in KNOT}
-            lhs = (f * g).eval_mod(point)
-            assert lhs == f.eval_mod(point) * g.eval_mod(point) % PRIME_61
-            assert h.eval_mod(point) == f.eval_mod(point)
-
-
 def test_content_examples():
     f = poly(KNOT, {(0, 2, 1): 1, (0, 3, 0): 1})
     assert f.content() == (0, 2, 0)
@@ -175,24 +147,6 @@ def test_content_examples():
     assert reduced.min_exponents() == (0, 0, 0)
     with pytest.raises(ValueError):
         LaurentPolynomial.zero(KNOT).content()
-
-
-def test_canonical_text_round_trip():
-    rng = random.Random(20240821)
-    for _ in range(20):
-        f = random_poly(rng, KNOT)
-        assert parse_polynomial(KNOT, f.canonical_text()) == f
-
-
-def test_canonical_text_order_independent_of_construction():
-    rng = random.Random(20240822)
-    items = [((2, -1, 0), Fraction(3)), ((0, 0, 0), Fraction(1)), ((-1, 4, 2), Fraction(-7, 2))]
-    base = LaurentPolynomial(KNOT, items).canonical_text()
-    for _ in range(5):
-        shuffled = items[:]
-        rng.shuffle(shuffled)
-        assert LaurentPolynomial(KNOT, shuffled).canonical_text() == base
-    assert base.splitlines() == sorted(base.splitlines(), key=lambda s: tuple(map(int, s.split()[:3])))
 
 
 def test_factored_expand_monomial_prefactor():

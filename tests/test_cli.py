@@ -92,6 +92,8 @@ def test_compute_raw_json_rejected(capsys):
         (("specialize", "2", "0", "--at", "jones"), "n and m must be positive, got (2, 0)"),
         (("genfun", "3", "3"), "need 1 <= r < n"),
         (("genfun", "4", "2"), "family (n=4, r=2) hits non-coprime windings"),
+        (("scan", "--n-max", "1", "--m-max", "20"), "no pair 2 <= n <= 1, n < m <= 20 to scan"),
+        (("scan", "--n-max", "6", "--m-max", "2"), "no pair 2 <= n <= 6, n < m <= 2 to scan"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, args, cause):

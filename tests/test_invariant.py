@@ -271,6 +271,15 @@ def test_trefoil_specializations():
         specialize(trefoil, "kauffman")
 
 
+def test_specialize_names_a_nonpolynomial():
+    result = compute(2, 4)
+    assert isinstance(result, NonPolynomial)
+    with pytest.raises(TypeError) as exc:
+        specialize(result, "jones")
+    assert "(2,4)" in str(exc.value)
+    assert result.reason in str(exc.value)
+
+
 def _times(f, g):
     """Product of integer polynomials given as coefficient lists, lowest first."""
     out = [0] * (len(f) + len(g) - 1)
@@ -366,10 +375,11 @@ def test_generating_function_three_strand_poles():
     assert set(generating_function(3, 2).poles) == {(0, 0, 0), (0, 6, 4), (0, 12, 6)}
 
 
-@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)])
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 1)])
 def test_generating_function_series_matches_direct(n, r):
-    # The fit uses k < p(n) <= 5 and its own check stops at max(p(n), 3);
-    # the series must not drift from direct computation past that.
+    # The fit uses k < p, p the number of distinct framings (9 of the 11
+    # partitions of 6), and its own check stops at max(p, 3); the series
+    # must not drift from direct computation past that.
     series = generating_function(n, r).series(8)
     for k in range(9):
         assert series[k] == compute(n, n * k + r).terms
@@ -404,6 +414,16 @@ def test_generating_function_json_round_trip():
     assert back.poles == gf.poles
     assert back.numerator == gf.numerator
     assert (back.n, back.r) == (2, 1)
+
+
+def test_scan_rejects_bad_bounds():
+    for bounds in ((True, 20), (6, 20.0), ("6", 20), (6, None)):
+        with pytest.raises(TypeError, match="scan bounds must be integers"):
+            scan(*bounds)
+    for bounds in ((1, 20), (6, 2), (-3, -3)):
+        with pytest.raises(ValueError, match="to scan"):
+            scan(*bounds)
+    assert [(row.n, row.m) for row in scan(2, 3).rows] == [(2, 3)]
 
 
 def test_scan_statuses():

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from torus_super import oracle
-from torus_super.algebra import PRIME_61, LaurentPolynomial, exact_divide
+from torus_super.algebra import LaurentPolynomial, exact_divide
 from torus_super.oracle import (
+    PRIME_61,
     QT,
     RationalFunction,
     _gcd_terms,
@@ -337,18 +338,14 @@ def test_rational_arithmetic_stays_in_lowest_terms():
             _assert_lowest_terms(out)
 
 
-def test_one_variable_fractions_take_the_generic_path():
+def test_fractions_outside_qt_rejected():
     t = ("t",)
-    a = (LaurentPolynomial(t, {(0,): 1, (2,): -1}), LaurentPolynomial(t, {(0,): 1, (1,): -1}))
-    b = (LaurentPolynomial(t, {(1,): Fraction(1, 2)}), LaurentPolynomial(t, {(1,): 3, (2,): -3}))
-    ra, rb = RationalFunction(*a), RationalFunction(*b)
-    # Never reduced: (1 - t^2) / (1 - t) keeps its common factor.
-    assert ra.den.term_count == 2
-    for op, fn in OPS.items():
-        out = fn(ra, rb)
-        num, den = _naive(op, a, b)
-        assert out.num * den == num * out.den, op
-        _assert_canonical(out)
+    with pytest.raises(ValueError, match="over"):
+        RationalFunction(LaurentPolynomial(t, {(0,): 1, (2,): -1}))
+    with pytest.raises(ValueError, match="over"):
+        RationalFunction(
+            LaurentPolynomial(t, {(1,): Fraction(1, 2)}), LaurentPolynomial(t, {(0,): 1, (1,): -1})
+        )
 
 
 def test_scalar_operands():
