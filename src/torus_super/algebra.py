@@ -212,11 +212,16 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def shifted(self, mono: Monomial, coeff: Coeff = 1) -> "LaurentPolynomial":
-        """Multiply by ``coeff * x^mono`` (a fast exponent translation)."""
+        """Multiply by ``coeff * x^mono`` (a fast exponent translation).
+
+        With coefficient 1 the coefficients are copied as they are.
+        """
         mono = tuple(mono)
         scale = as_coeff(coeff)
         out = LaurentPolynomial.zero(self.alphabet)
-        if scale:
+        if scale == 1:
+            out.terms = {monomial_mul(e, mono): c for e, c in self.terms.items()}
+        elif scale:
             out.terms = {
                 monomial_mul(e, mono): as_coeff(c * scale) for e, c in self.terms.items()
             }

@@ -19,8 +19,10 @@ A winding family P(n, nk + r) has one pole per distinct framing of the
 partitions of n, since summands with the same framing merge into one
 geometric term.  Its generating function is therefore fit from compute()
 alone: the numerator is the pole product times the first orders, one per
-pole, and the series is checked against direct computations at least one
-order past the fit.
+pole, and orders p..top of that product must vanish, which certifies the
+series against the direct computations up to order top >= p.  The fit, the
+series and the series sum run on integer exponent keys (_Box), where a
+monomial shift is one integer add.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from typing import Union
 from .algebra import (
     KNOT,
     MACD,
+    Coeff,
     FactoredRational,
     LaurentPolynomial,
     Monomial,
     SubstitutionMap,
+    as_coeff,
     expand_binomial_product,
     monomial_div,
     monomial_mul,
@@ -197,6 +201,97 @@ def _degree(steps: tuple[tuple[Monomial, int], ...]) -> Monomial:
     return deg
 
 
+class _Box:
+    """Integer keys for the (a, q, t) exponents inside the box lo..hi.
+
+    ``key = ((a - lo_a) * S_q + (q - lo_q)) * S_t + (t - lo_t)``, S the box's
+    sizes, so the strides of a and q are S_q * S_t and S_t, and
+    ``key % S_t`` is t - lo_t.  The map is affine: multiplying a term by x^c
+    adds ``offset(c)`` to its key.  It is injective on the box only, so a
+    caller must prove that every exponent it forms lies inside.
+    """
+
+    __slots__ = ("lo", "strides")
+
+    def __init__(self, lo: Monomial, hi: Monomial):
+        s_t = hi[2] - lo[2] + 1
+        self.lo = lo
+        self.strides = ((hi[1] - lo[1] + 1) * s_t, s_t)
+
+    def offset(self, c: Monomial) -> int:
+        s_a, s_t = self.strides
+        return c[0] * s_a + c[1] * s_t + c[2]
+
+    def pack(self, poly: LaurentPolynomial) -> dict[int, Coeff]:
+        s_a, s_t = self.strides
+        base = self.offset(self.lo)
+        return {a * s_a + q * s_t + t - base: c for (a, q, t), c in poly.terms.items()}
+
+    def unpack(self, keyed: dict[int, Coeff]) -> LaurentPolynomial:
+        """The polynomial of the keyed terms; zero coefficients are dropped."""
+        lo_a, lo_q, lo_t = self.lo
+        s_a, s_t = self.strides
+        terms = {}
+        for key, c in keyed.items():
+            if c:
+                a, rest = divmod(key, s_a)
+                q, t = divmod(rest, s_t)
+                terms[(lo_a + a, lo_q + q, lo_t + t)] = c
+        out = LaurentPolynomial.zero(KNOT)
+        out.terms = terms
+        return out
+
+
+def _span(polys) -> tuple[list[int], list[int]]:
+    """Lowest and highest exponent per coordinate over nonzero polynomials."""
+    polys = list(polys)
+    return (
+        [min(col) for col in zip(*(p.min_exponents() for p in polys))],
+        [max(col) for col in zip(*(p.max_exponents() for p in polys))],
+    )
+
+
+def _add_shifted(into: dict[int, Coeff], keyed: dict[int, Coeff], offset: int, sign: int) -> None:
+    """``into += sign * x^c * keyed`` in place; ``offset`` is c's key offset."""
+    for key, c in keyed.items():
+        key += offset
+        total = into.get(key, 0) + sign * c
+        if not total:
+            del into[key]  # c != 0, so the key was there
+        elif type(total) is int:
+            into[key] = total
+        else:
+            into[key] = as_coeff(total)
+
+
+def _lcm_peak(steps: tuple[tuple[Monomial, int], ...]) -> int:
+    """Largest |coefficient| of ``D = prod (1 - x^c)^mult``, expanded once as
+    a Kronecker-packed int.
+
+    Every bold step is c = (0, 2(x + y), 2x), so D lives on (q/2, t/2).  One
+    signed w-bit digit per exponent of that box, q/2 the more significant;
+    |coef(D)| <= L1(D) <= 2^copies < 2^(w - 1), so the digits are exact.
+    Adding 2^(w - 1) to every digit makes them all non-negative, so the
+    bytes of the sum hold the digits shifted by 2^(w - 1).
+    """
+    copies = sum(mult for _, mult in steps)
+    nbytes = (copies + 9) // 8  # w = 8 * nbytes >= copies + 2
+    width = 1 + sum(c[2] // 2 * mult for c, mult in steps)
+    size = width * (1 + sum(c[1] // 2 * mult for c, mult in steps))
+    v = 1
+    for (_, cq, ct), mult in steps:
+        if cq % 2 or ct % 2:
+            raise IntegrityError(f"step {(0, cq, ct)} is off the even (q, t) lattice")
+        shift = 8 * nbytes * (cq // 2 * width + ct // 2)
+        for _ in range(mult):
+            v -= v << shift
+    half = 1 << (8 * nbytes - 1)
+    v += int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    data = v.to_bytes(size * nbytes, "little")
+    digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    return max(max(digits) - half, half - min(digits))
+
+
 @lru_cache(maxsize=None)
 def _family_core(n: int) -> _FamilyCore:
     ys = enumerate_partitions(n)
@@ -227,12 +322,7 @@ def _family_core(n: int) -> _FamilyCore:
             denominator=tuple(sorted((steps[b], -e) for b, e in base.factors.items() if e < 0)),
         ))
     lcm_steps = tuple(sorted((steps[b], mult) for b, mult in lcm.items()))
-    expanded = expand_binomial_product(LaurentPolynomial.one(KNOT), lcm_steps)
-    return _FamilyCore(
-        parts=tuple(parts),
-        lcm=lcm_steps,
-        lcm_peak=max(abs(c) for c in expanded.terms.values()),
-    )
+    return _FamilyCore(parts=tuple(parts), lcm=lcm_steps, lcm_peak=_lcm_peak(lcm_steps))
 
 
 def _numerators(req: KnotRequest) -> list[LaurentPolynomial]:
@@ -273,37 +363,41 @@ def _series_sum(
     recurrence ``g[e] = f[e] + g[e - c]``, in place and in ascending q: c_q > 0,
     so g[e - c] is final when e is reached.  Every c is >= 0, so no exponent
     falls back under hi once it rises above it, and truncating commutes with
-    the division.  A series is kept as rows ``q -> {(a, t): coefficient}``.
+    the division.  A series is kept as rows ``q -> {key: coefficient}`` on
+    the keys of the box from the numerators' lowest exponents to hi, where
+    every exponent the passes keep lies; a step is one add to the key.
     """
-    total: dict[int, dict[tuple[int, int], int]] = {}
+    lo = tuple(_span(num for num in numerators if num)[0])
+    box = _Box(lo, tuple(map(max, lo, hi)))
+    s_a, s_t = box.strides
+    base = box.offset(lo)
+    total: dict[int, int] = {}
     for part, num in zip(core.parts, numerators):
-        rows: dict[int, dict[tuple[int, int], int]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for (a, q, t), c in num.terms.items():
             if a <= hi[0] and q <= hi[1] and t <= hi[2]:
-                rows.setdefault(q, {})[(a, t)] = c
+                rows.setdefault(q, {})[a * s_a + q * s_t + t - base] = c
         if not rows:
             continue  # n_Y / D_Y lies wholly above hi
-        for (_, cq, ct), mult in part.denominator:
+        for c_step, mult in part.denominator:
+            cq = c_step[1]
+            step = box.offset(c_step)
+            room = s_t - c_step[2]  # a key keeps its t <= hi_t when key % s_t < room
             for _ in range(mult):
                 for q in range(min(rows), hi[1] - cq + 1):
                     row = rows.get(q)
                     if not row:
                         continue
                     above = rows.setdefault(q + cq, {})
-                    for (a, t), c in row.items():
-                        if t + ct <= hi[2]:
-                            above[(a, t + ct)] = above.get((a, t + ct), 0) + c
-        for q, row in rows.items():
-            into = total.setdefault(q, {})
-            for at, c in row.items():
-                into[at] = into.get(at, 0) + c
+                    for key, c in row.items():
+                        if key % s_t < room:
+                            key += step
+                            above[key] = above.get(key, 0) + c
+        for row in rows.values():
+            for key, c in row.items():
+                total[key] = total.get(key, 0) + c
         del rows
-    out = LaurentPolynomial.zero(KNOT)
-    for q in sorted(total):
-        for (a, t), c in total.pop(q).items():
-            if c:
-                out.terms[(a, q, t)] = c
-    return out
+    return box.unpack(total)
 
 
 def _multiply_back(
@@ -491,19 +585,33 @@ class GeneratingFunction:
 
     def series(self, k_max: int) -> list[LaurentPolynomial]:
         """Taylor coefficients in z up to order k_max, exactly: the numerator
-        divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward."""
+        divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward.
+
+        The passes run in place on integer keys.  c_k is a numerator order
+        times at most k_max poles, so the box of the numerator's extremes
+        widened by k_max * min(0, pole) and k_max * max(0, pole) per
+        coordinate holds every exponent formed.
+        """
         if isinstance(k_max, bool) or not isinstance(k_max, int):
             raise TypeError(f"series order must be an integer, got {k_max!r}")
         if k_max < 0:
             raise ValueError(f"series order must be non-negative, got {k_max}")
-        out = [LaurentPolynomial.zero(KNOT)] * (k_max + 1)
-        for j, coeff in self.numerator:
-            if j <= k_max:
-                out[j] = coeff
+        used = [(j, coeff) for j, coeff in self.numerator if j <= k_max]
+        if not any(coeff for _, coeff in used):
+            return [LaurentPolynomial.zero(KNOT) for _ in range(k_max + 1)]
+        lo, hi = _span(coeff for _, coeff in used if coeff)
+        for i, col in enumerate(zip(*self.poles)):
+            lo[i] += k_max * min(0, *col)
+            hi[i] += k_max * max(0, *col)
+        box = _Box(tuple(lo), tuple(hi))
+        out: list[dict[int, Coeff]] = [{} for _ in range(k_max + 1)]
+        for j, coeff in used:
+            out[j] = box.pack(coeff)
         for pole in self.poles:
+            step = box.offset(pole)
             for k in range(1, k_max + 1):
-                out[k] = out[k] + out[k - 1].shifted(pole)
-        return out
+                _add_shifted(out[k], out[k - 1], step, 1)
+        return [box.unpack(keyed) for keyed in out]
 
 
 def _check_family(n: int, r: int) -> None:
@@ -523,9 +631,12 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     framing, p of them.  The invariants P_k are computed for
     k <= K = max(p, 3), outside compute()'s memo.  The per-step content
     ratio nu must be the same for every k < K (CalibrationError otherwise);
-    poles are the substituted framing monomials divided by nu.  The numerator
-    is (sum_{k<p} P_k z^k) * prod (1 - z*pole) mod z^p, and the series must
-    reproduce every P_k with k <= K, so at least one order past the fit.
+    poles are the substituted framing monomials divided by nu.  One
+    recurrence on integer keys fits and certifies: it multiplies
+    sum_{k<=K} P_k z^k by prod (1 - z*pole) mod z^(K+1).  Orders below p
+    are the numerator, and orders p..K of the product must vanish, which
+    holds exactly when the series reproduces every P_k with k <= K.
+    Otherwise a CalibrationError names the first order that does not.
     """
     _check_family(n, r)
     framings = {part.framing for part in _family_core(n).parts}
@@ -550,23 +661,33 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         _, image = MACD_TO_KNOT.image((t_q, t_t + n, 0))
         poles.append(monomial_div(image, nu))
 
-    # Multiply the first `count` orders by each 1 - z*pole, c_j -= pole * c_{j-1}
-    # downward, truncating at z^count.
-    coeffs = [res.terms for res in results[:count]]
+    # One downward pass per pole multiplies P = sum_{k<=top} P_k z^k by
+    # 1 - z*pole, c_j -= pole * c_{j-1}, mod z^(top + 1).  A term of the
+    # product is a P_k times distinct poles, so the box of the P_k's extremes
+    # widened by the poles' summed negative and positive parts holds it.
+    lo, hi = _span(res.terms for res in results)
+    for i, col in enumerate(zip(*poles)):
+        lo[i] += sum(x for x in col if x < 0)
+        hi[i] += sum(x for x in col if x > 0)
+    box = _Box(tuple(lo), tuple(hi))
+    coeffs = [box.pack(res.terms) for res in results]
     for pole in poles:
-        for j in range(count - 1, 0, -1):
-            coeffs[j] = coeffs[j] - coeffs[j - 1].shifted(pole)
-    gf = GeneratingFunction(
+        step = box.offset(pole)
+        for j in range(top, 0, -1):
+            _add_shifted(coeffs[j], coeffs[j - 1], step, -1)
+    # Q = prod (1 - z*pole) has constant term 1, so the series of the
+    # numerator P*Q mod z^count over Q reproduces every P_k with k <= top
+    # exactly when orders count..top of P*Q vanish, and the first order that
+    # does not vanish is the first one where the series would disagree.
+    for k in range(count, top + 1):
+        if coeffs[k]:
+            raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
+    return GeneratingFunction(
         n=n,
         r=r,
-        numerator=tuple((j, c) for j, c in enumerate(coeffs) if not c.is_zero()),
+        numerator=tuple((j, box.unpack(c)) for j, c in enumerate(coeffs[:count]) if c),
         poles=tuple(sorted(poles)),
     )
-
-    for k, term in enumerate(gf.series(top)):
-        if term != results[k].terms:
-            raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
-    return gf
 
 
 # -- scanning ------------------------------------------------------------------

@@ -149,6 +149,17 @@ def test_content_examples():
         LaurentPolynomial.zero(KNOT).content()
 
 
+def test_shifted_scales_and_translates():
+    f = poly(KNOT, {(0, 2, 1): 3, (1, 0, -1): Fraction(-1, 2)})
+    moved = f.shifted((1, -2, 0))
+    assert moved.terms == {(1, 0, 1): 3, (2, -2, -1): Fraction(-1, 2)}
+    # Coefficient 1 copies the coefficients as they are.
+    assert [type(c) for c in moved.terms.values()] == [int, Fraction]
+    assert f.shifted((0, 0, 0), Fraction(2)).terms == {(0, 2, 1): 6, (1, 0, -1): -1}
+    assert all(type(c) is int for c in f.shifted((0, 0, 0), 2).terms.values())
+    assert f.shifted((5, 5, 5), 0).is_zero()
+
+
 def test_factored_expand_monomial_prefactor():
     r = FactoredRational(MACD, prefactor=(0, 2, 0), factors={(1, 0, 0): -1})
     num, den = r.expand()

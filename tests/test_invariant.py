@@ -1,13 +1,17 @@
 """End-to-end invariants: exact values, flags, specializations, families."""
 
+import dataclasses
 import json
 import math
+import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from torus_super.algebra import KNOT, MACD, LaurentPolynomial
+from torus_super import invariant
+from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_product
 from torus_super.invariant import (
     _bold_step,
     _family_core,
@@ -15,6 +19,7 @@ from torus_super.invariant import (
     _numerators,
     _series_bound,
     _series_sum,
+    CalibrationError,
     GeneratingFunction,
     IntegrityError,
     KnotRequest,
@@ -238,6 +243,13 @@ def test_denominators_lie_on_series_cone():
             _bold_step(b)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lcm_peak_matches_the_expansion(n):
+    core = _family_core(n)
+    expanded = expand_binomial_product(LaurentPolynomial.one(KNOT), core.lcm)
+    assert core.lcm_peak == max(abs(c) for c in expanded.terms.values())
+
+
 def test_verify_properties_identity():
     flags = verify_properties(LaurentPolynomial.one(KNOT))
     assert flags.all_true
@@ -383,6 +395,123 @@ def test_generating_function_series_matches_direct(n, r):
     series = generating_function(n, r).series(8)
     for k in range(9):
         assert series[k] == compute(n, n * k + r).terms
+
+
+def _with_changed_order(monkeypatch, n, r, order, change):
+    """Make the fit's compute(n, n*order + r) return change(result), and
+    undo any earlier change."""
+    monkeypatch.undo()
+    real = invariant._compute
+
+    def changed(n_, m):
+        result = real(n_, m)
+        return change(result) if (n_, m) == (n, n * order + r) else result
+
+    monkeypatch.setattr(invariant, "_compute", changed)
+
+
+def _bump_one_coefficient(result):
+    e, c = result.terms.sorted_terms()[len(result.terms.terms) // 2]
+    return dataclasses.replace(result, terms=result.terms + knot({e: 1}))
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (4, 1), (5, 1)])
+def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
+    # Orders p..top of P * prod (1 - z*pole) must vanish.  A changed order
+    # k >= p is the first that does not; a changed order below p goes into
+    # the numerator, and order p is then the first that does not.
+    p = len(generating_function(n, r).poles)
+    top = max(p, 3)
+    for order, named in ((0, p), (p, p), (top, top)):
+        _with_changed_order(monkeypatch, n, r, order, _bump_one_coefficient)
+        message = f"series order z^{named} disagrees with compute({n},{n * named + r})"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            generating_function(n, r)
+
+
+@pytest.mark.parametrize("n,r", [(4, 1), (5, 1)])
+def test_fit_rejects_a_changed_content_or_a_nonpolynomial_order(monkeypatch, n, r):
+    def moved(result):
+        return dataclasses.replace(result, content=(0, 0, 0))
+
+    _with_changed_order(monkeypatch, n, r, 2, moved)
+    with pytest.raises(CalibrationError, match="content ratio not constant"):
+        generating_function(n, r)
+
+    def lost(result):
+        return NonPolynomial(n=result.n, m=result.m, gcd=1)
+
+    _with_changed_order(monkeypatch, n, r, 1, lost)
+    with pytest.raises(CalibrationError, match=re.escape(f"({n},{n + r}) is not polynomial")):
+        generating_function(n, r)
+
+
+def _naive_series(gf, k_max):
+    """numerator * prod (1 - z*pole)^-1 mod z^(k_max + 1) by plain products."""
+    zero = LaurentPolynomial.zero(KNOT)
+    series = [zero] * (k_max + 1)
+    for j, coeff in gf.numerator:
+        if j <= k_max:
+            series[j] = coeff
+    for pole in gf.poles:
+        geometric = [knot({tuple(k * x for x in pole): 1}) for k in range(k_max + 1)]
+        series = [
+            sum((series[i] * geometric[k - i] for i in range(k + 1)), zero)
+            for k in range(k_max + 1)
+        ]
+    return series
+
+
+def _same_series(got, want):
+    assert got == want
+    for g, w in zip(got, want):  # ints stay ints, and Fractions stay exact
+        assert all(type(c) is type(w.terms[e]) for e, c in g.terms.items())
+
+
+HAND_BUILT = {
+    "negative pole exponents": GeneratingFunction(
+        n=3, r=1,
+        numerator=((0, knot({(0, 0, 0): 1, (2, 1, -3): -2})), (1, knot({(0, -1, 4): 5}))),
+        poles=((0, -2, 1), (2, 3, -4), (0, 0, 0)),
+    ),
+    "fraction coefficients": GeneratingFunction(
+        n=2, r=1,
+        # The first pole sums 1/2 + 1/2 to 1 at (0, 0, 0); the second
+        # cancels 5/3 - 5/3 at (0, 8, 4).
+        numerator=(
+            (0, knot({(0, 0, 0): Fraction(1, 2), (0, 4, 2): Fraction(-5, 3)})),
+            (1, knot({(0, 0, 0): Fraction(1, 2), (0, 8, 4): Fraction(5, 3), (2, 2, 3): 7})),
+        ),
+        poles=((0, 0, 0), (0, 4, 2)),
+    ),
+    "numerator above k_max": GeneratingFunction(
+        n=2, r=1,
+        numerator=((1, knot({(0, 1, 0): 1})), (9, knot({(0, 0, 0): 4})), (40, knot({(1, 1, 1): 1}))),
+        poles=((0, 1, 1), (0, -1, 0)),
+    ),
+    "empty numerator": GeneratingFunction(n=2, r=1, numerator=(), poles=((0, 4, 2),)),
+    "numerator only above k_max": GeneratingFunction(
+        n=2, r=1, numerator=((12, knot({(0, 0, 0): 1})),), poles=((0, 4, 2),)
+    ),
+    "no poles": GeneratingFunction(
+        n=2, r=1, numerator=((0, knot({(0, 0, 0): 1})), (2, knot({(0, 3, -1): -1}))), poles=()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_series_matches_naive_products(name):
+    gf = HAND_BUILT[name]
+    for k_max in (0, 1, 6):
+        _same_series(gf.series(k_max), _naive_series(gf, k_max))
+
+
+def test_series_after_json_round_trip():
+    gf = generating_function(5, 4)
+    back = generating_function_from_json(generating_function_to_json(gf))
+    series = back.series(8)
+    assert series == gf.series(8)
+    _same_series(series, _naive_series(back, 8))
 
 
 def test_generating_function_rejects_bad_families():
