@@ -11,9 +11,14 @@ which bounds the sum wherever it is a polynomial, and added up into T.
 
 The multiply-back certificate then checks T * D == sum_Y n_Y * (D / D_Y)
 exactly, for the lcm D of the denominators, on Kronecker-packed Python
-ints.  Equality proves T is the invariant; a difference proves the sum is
-not a polynomial, and its lowest term is the witness.  T is finally
-normalized by its monomial content so the lowest term is +1.
+ints, one a-slice at a time.  A slice is packed on the Macdonald lattice
+(i, j), t = 2i + a/2 and q = 2(i + j), where a bold step
+c = (0, 2(x + y), 2x) is (x, y) and each row spans j plus the reach in j
+of the steps a side is multiplied by; that box is several times smaller
+than one on (q/2, t).  Equality proves T is the invariant; a difference
+proves the sum is not a polynomial, and its lowest term in (q, t, a)
+order, read from the lowest nonzero digit of each i-row, is the witness.
+T is finally normalized by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) has one pole per distinct framing of the
 partitions of n, since summands with the same framing merge into one
@@ -167,6 +172,14 @@ class _Summand:
     denominator: tuple[tuple[Monomial, int], ...]
 
 
+# Macdonald steps (x, y) of ``prod (1 - q^x t^y)^mult``, with multiplicities.
+_Steps = tuple[tuple[tuple[int, int], int], ...]
+# The multiply-back tree over the summands: a leaf is a summand's index, a
+# node (left, right, left_steps, right_steps) brings both halves to the lcm
+# of their denominators by the steps each half misses.
+_Node = Union[int, tuple["_Node", "_Node", _Steps, _Steps]]
+
+
 @dataclass(frozen=True)
 class _FamilyCore:
     """m-independent data shared by every invariant of strand count n."""
@@ -176,6 +189,11 @@ class _FamilyCore:
     lcm: tuple[tuple[Monomial, int], ...]
     # Largest |coefficient| of D expanded, for the multiply-back digit width.
     lcm_peak: int
+    # D on Macdonald steps, and the tree that sums N = sum_Y n_Y * (D / D_Y).
+    lcm_steps: _Steps
+    tree: _Node
+    # Per summand: the copies and the reach sum(y * mult) of D / D_Y.
+    missing: tuple[tuple[int, int], ...]
 
 
 def _bold_step(b: Monomial) -> Monomial:
@@ -264,25 +282,36 @@ def _add_shifted(into: dict[int, Coeff], keyed: dict[int, Coeff], offset: int, s
             into[key] = as_coeff(total)
 
 
-def _lcm_peak(steps: tuple[tuple[Monomial, int], ...]) -> int:
-    """Largest |coefficient| of ``D = prod (1 - x^c)^mult``, expanded once as
-    a Kronecker-packed int.
+def _lattice_step(c: Monomial) -> tuple[int, int]:
+    """Macdonald exponent (x, y) of the bold step c = (0, 2(x + y), 2x) of
+    ``1 - q^x t^y``; a step off that lattice, or with y < 0, is an
+    IntegrityError."""
+    _, cq, ct = c
+    if cq % 2 or ct % 2 or ct > cq:
+        raise IntegrityError(f"step {c} is off the bold lattice")
+    return ct // 2, (cq - ct) // 2
 
-    Every bold step is c = (0, 2(x + y), 2x), so D lives on (q/2, t/2).  One
-    signed w-bit digit per exponent of that box, q/2 the more significant;
-    |coef(D)| <= L1(D) <= 2^copies < 2^(w - 1), so the digits are exact.
-    Adding 2^(w - 1) to every digit makes them all non-negative, so the
-    bytes of the sum hold the digits shifted by 2^(w - 1).
+
+def _lattice_steps(steps: Counter) -> _Steps:
+    return tuple(sorted((_lattice_step(c), mult) for c, mult in steps.items()))
+
+
+def _lcm_peak(steps: _Steps) -> int:
+    """Largest |coefficient| of ``D = prod (1 - q^x t^y)^mult``, expanded
+    once as a Kronecker-packed int.
+
+    One signed w-bit digit per exponent of the Macdonald box, x the more
+    significant; |coef(D)| <= L1(D) <= 2^copies < 2^(w - 1), so the digits
+    are exact.  Adding 2^(w - 1) to every digit makes them all non-negative,
+    so the bytes of the sum hold the digits shifted by 2^(w - 1).
     """
     copies = sum(mult for _, mult in steps)
     nbytes = (copies + 9) // 8  # w = 8 * nbytes >= copies + 2
-    width = 1 + sum(c[2] // 2 * mult for c, mult in steps)
-    size = width * (1 + sum(c[1] // 2 * mult for c, mult in steps))
+    width = 1 + sum(y * mult for (_, y), mult in steps)
+    size = width * (1 + sum(x * mult for (x, _), mult in steps))
     v = 1
-    for (_, cq, ct), mult in steps:
-        if cq % 2 or ct % 2:
-            raise IntegrityError(f"step {(0, cq, ct)} is off the even (q, t) lattice")
-        shift = 8 * nbytes * (cq // 2 * width + ct // 2)
+    for (x, y), mult in steps:
+        shift = 8 * nbytes * (x * width + y)
         for _ in range(mult):
             v -= v << shift
     half = 1 << (8 * nbytes - 1)
@@ -290,6 +319,17 @@ def _lcm_peak(steps: tuple[tuple[Monomial, int], ...]) -> int:
     data = v.to_bytes(size * nbytes, "little")
     digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
     return max(max(digits) - half, half - min(digits))
+
+
+def _merge_tree(dens: list[Counter], lo: int, hi: int) -> tuple[_Node, Counter]:
+    """The balanced tree over summands lo..hi - 1 and the lcm of their D_Y."""
+    if hi - lo == 1:
+        return lo, dens[lo]
+    mid = (lo + hi) // 2
+    left, d1 = _merge_tree(dens, lo, mid)
+    right, d2 = _merge_tree(dens, mid, hi)
+    both = d1 | d2
+    return (left, right, _lattice_steps(both - d1), _lattice_steps(both - d2)), both
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +361,21 @@ def _family_core(n: int) -> _FamilyCore:
             numerator=tuple(sorted((b, e) for b, e in base.factors.items() if e > 0)),
             denominator=tuple(sorted((steps[b], -e) for b, e in base.factors.items() if e < 0)),
         ))
-    lcm_steps = tuple(sorted((steps[b], mult) for b, mult in lcm.items()))
-    return _FamilyCore(parts=tuple(parts), lcm=lcm_steps, lcm_peak=_lcm_peak(lcm_steps))
+    lcm_bold = Counter({steps[b]: mult for b, mult in lcm.items()})
+    lcm_steps = _lattice_steps(lcm_bold)
+    dens = [Counter(dict(part.denominator)) for part in parts]
+    missing = []
+    for den in dens:
+        rest = _lattice_steps(lcm_bold - den)
+        missing.append((sum(mult for _, mult in rest), sum(y * mult for (_, y), mult in rest)))
+    return _FamilyCore(
+        parts=tuple(parts),
+        lcm=tuple(sorted(lcm_bold.items())),
+        lcm_peak=_lcm_peak(lcm_steps),
+        lcm_steps=lcm_steps,
+        tree=_merge_tree(dens, 0, len(dens))[0],
+        missing=tuple(missing),
+    )
 
 
 def _numerators(req: KnotRequest) -> list[LaurentPolynomial]:
@@ -407,93 +460,98 @@ def _multiply_back(
 
     No binomial of D changes the power of a, so the identity holds exactly
     when it holds in every a-slice; a slice at a time keeps the packed ints
-    small.  Each side of a slice is Kronecker-packed into one Python int,
-    q/2 the more significant coordinate and t the less, one w-bit signed
-    digit per exponent of the box both sides live in.  w exceeds twice the
-    proven bound L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y)
-    on every digit of either side, so the packing is injective and the ints
+    small.  Within a slice every exponent is the bold image of a Macdonald
+    one: t = 2i + a/2 and q = 2(i + j), and a step c = (0, 2(x + y), 2x)
+    of D is (x, y).  An exponent off that lattice (odd a, odd q, or
+    t - a/2 odd) is an IntegrityError naming it.  Each side of a slice is
+    Kronecker-packed into one Python int, one w-bit signed digit per (i, j)
+    of the box both sides live in, i the more significant; the row width
+    spans j plus the reach sum(y * mult) of the steps each side misses, so a
+    step is the shift ``w * (x * width + y)``.  w exceeds twice the proven
+    bound L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y) on
+    every digit of either side, so the packing is injective and the ints
     are equal exactly when the polynomials are.  Each binomial copy is one
-    ``v -= v << shift``; N is summed over a balanced tree of the summands,
-    each pair of halves brought to the lcm of its denominators.  Returns
-    None on equality, otherwise the lowest exponent of T * D - N, in
-    (q, t, a) order, and the coefficient there.
+    ``v -= v << shift``; N is summed over the family's balanced tree, each
+    pair of halves brought to the lcm of its denominators.  Returns None on
+    equality, otherwise the lowest exponent of T * D - N, in (q, t, a)
+    order, and the coefficient there.  That is not the lowest packed digit:
+    it is the lowest (i + j, i) among the lowest nonzero digit of each
+    i-row, read from the difference with 2^(w - 1) added to every digit.
     """
-    lcm = Counter(dict(core.lcm))
-    copies = sum(lcm.values())
-    # Per side: its denominator, and the t-degree of its completion to D.
-    dens = [Counter()] + [Counter(dict(part.denominator)) for part in core.parts]
-    reach = [sum(c[2] * mult for c, mult in (lcm - d).items()) for d in dens]
+    lcm_reach = sum(y * mult for (_, y), mult in core.lcm_steps)
 
     def by_a(poly: LaurentPolynomial) -> dict[int, dict[tuple[int, int], int]]:
         out: dict[int, dict[tuple[int, int], int]] = {}
         for (a, q, t), c in poly.terms.items():
-            out.setdefault(a, {})[(q, t)] = c
+            i, odd = divmod(t - a // 2, 2)
+            if a % 2 or q % 2 or odd:
+                raise IntegrityError(f"exponent {(a, q, t)} is off the bold lattice")
+            out.setdefault(a, {})[(i, q // 2 - i)] = c
         return out
 
     slices = [by_a(total)] + [by_a(num) for num in numerators]
+    reach = [lcm_reach] + [r for _, r in core.missing]
     witnesses = []
     for a in sorted(set().union(*slices)):
         sides = [s.pop(a, {}) for s in slices]  # T's slice, then each n_Y's
-        lo_q = min(q for side in sides for q, _ in side)
-        lo_t = min(t for side in sides for _, t in side)
-        width = max(max(t for _, t in side) + r for side, r in zip(sides, reach) if side)
-        width += 1 - lo_t
+        lo_i = min(i for side in sides for i, _ in side)
+        lo_j = min(j for side in sides for _, j in side)
+        width = max(max(j for _, j in side) + r for side, r in zip(sides, reach) if side)
+        width += 1 - lo_j
         bound = sum(abs(c) for c in sides[0].values()) * core.lcm_peak
-        for side, den in zip(sides[1:], dens[1:]):
-            bound += sum(abs(c) for c in side.values()) << (copies - sum(den.values()))
+        for side, (spare, _) in zip(sides[1:], core.missing):
+            bound += sum(abs(c) for c in side.values()) << spare
         nbytes = (bound.bit_length() + 8) // 8  # bound < 2^(w - 1), w = 8 * nbytes
         w = 8 * nbytes
 
-        def index(q: int, t: int) -> int:
-            half, odd = divmod(q - lo_q, 2)
-            if odd:
-                raise IntegrityError(f"exponent q^{q} breaks the even q lattice")
-            return half * width + t - lo_t
-
         def pack(side: dict[tuple[int, int], int]) -> int:
-            spots = [(index(q, t), c) for (q, t), c in side.items()]
-            size = (max((i for i, _ in spots), default=-1) + 1) * nbytes
+            spots = [((i - lo_i) * width + j - lo_j, c) for (i, j), c in side.items()]
+            size = (max((k for k, _ in spots), default=-1) + 1) * nbytes
             v = 0
             for sign in (1, -1):  # positive digits, then negative ones
                 buf = bytearray(size)
-                for i, c in spots:
+                for k, c in spots:
                     if c * sign > 0:
-                        buf[i * nbytes:(i + 1) * nbytes] = (c * sign).to_bytes(nbytes, "little")
+                        buf[k * nbytes:(k + 1) * nbytes] = (c * sign).to_bytes(nbytes, "little")
                 v += sign * int.from_bytes(buf, "little")
                 del buf
             return v
 
-        def times(v: int, steps: Counter) -> int:
-            for (_, cq, ct), mult in sorted(steps.items()):
-                shift = w * index(lo_q + cq, lo_t + ct)
+        def times(v: int, steps: _Steps) -> int:
+            for (x, y), mult in steps:
+                shift = w * (x * width + y)
                 for _ in range(mult):
                     v -= v << shift
             return v
 
-        def combine(pairs: list[tuple[dict, Counter]]) -> tuple[int, Counter]:
-            """Packed sum of n_Y * (L / D_Y) over the pairs, L the lcm of
-            their D_Y; halves are summed depth first, so few ints are alive."""
-            if len(pairs) == 1:
-                side, den = pairs[0]
-                return pack(side), den
-            v, d1 = combine(pairs[:len(pairs) // 2])
-            v2, d2 = combine(pairs[len(pairs) // 2:])
-            both = d1 | d2
-            v = times(v, both - d1)
-            v += times(v2, both - d2)
-            return v, both
+        def combine(node: _Node) -> int:
+            """Packed sum of n_Y * (L / D_Y) over the node's summands, L the
+            lcm of their D_Y; halves are summed depth first, so few ints are
+            alive."""
+            if isinstance(node, int):
+                return pack(sides[node + 1])
+            left, right, left_steps, right_steps = node
+            v = times(combine(left), left_steps)
+            v += times(combine(right), right_steps)
+            return v
 
-        rhs, _ = combine(list(zip(sides[1:], dens[1:])))  # at the root, L = D
-        diff = times(pack(sides[0]), lcm)
-        diff -= rhs
-        del rhs
+        diff = times(pack(sides[0]), core.lcm_steps)
+        diff -= combine(core.tree)  # at the root, L = D
         if diff:
-            low = ((diff & -diff).bit_length() - 1) // w
-            digit = (diff >> (low * w)) & ((1 << w) - 1)
-            if digit >> (w - 1):
-                digit -= 1 << w
-            half, t = divmod(low, width)
-            witnesses.append(((a, lo_q + 2 * half, lo_t + t), digit))
+            row = width * nbytes
+            rows = -(-(abs(diff).bit_length() // w + 1) // width)
+            bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (rows * width), "little")
+            biased = diff + bias
+            data = biased.to_bytes(rows * row, "little")
+            marks = (biased ^ bias).to_bytes(rows * row, "little")
+            for r in range(rows):
+                found = int.from_bytes(marks[r * row:(r + 1) * row], "little")
+                if found:
+                    j = ((found & -found).bit_length() - 1) // w
+                    at = r * row + j * nbytes
+                    digit = int.from_bytes(data[at:at + nbytes], "little") - (1 << (w - 1))
+                    i, j = lo_i + r, lo_j + j
+                    witnesses.append(((a, 2 * (i + j), 2 * i + a // 2), digit))
     return min(witnesses, key=lambda found: found[0][1:] + found[0][:1], default=None)
 
 
@@ -642,16 +700,21 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     framings = {part.framing for part in _family_core(n).parts}
     count = len(framings)
     top = max(count, 3)
-    results = []
+    # Each order is kept only as keyed terms on its own box, so no
+    # Superpolynomial outlives the packing of its terms.
+    contents, spans, orders = [], [], []
     for k in range(top + 1):
         res = _compute(n, n * k + r)
         if isinstance(res, NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
-        results.append(res)
+        span = res.terms.min_exponents(), res.terms.max_exponents()
+        own = _Box(*span)
+        contents.append(res.content)
+        spans.append(span)
+        orders.append((own, own.pack(res.terms)))
+        del res
 
-    steps = {
-        monomial_div(results[k + 1].content, results[k].content) for k in range(top)
-    }
+    steps = {monomial_div(contents[k + 1], contents[k]) for k in range(top)}
     if len(steps) != 1:
         raise CalibrationError(f"content ratio not constant over k = 0..{top}: {steps}")
     nu = steps.pop()
@@ -665,12 +728,17 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     # 1 - z*pole, c_j -= pole * c_{j-1}, mod z^(top + 1).  A term of the
     # product is a P_k times distinct poles, so the box of the P_k's extremes
     # widened by the poles' summed negative and positive parts holds it.
-    lo, hi = _span(res.terms for res in results)
+    lo = [min(col) for col in zip(*(low for low, _ in spans))]
+    hi = [max(col) for col in zip(*(high for _, high in spans))]
     for i, col in enumerate(zip(*poles)):
         lo[i] += sum(x for x in col if x < 0)
         hi[i] += sum(x for x in col if x > 0)
     box = _Box(tuple(lo), tuple(hi))
-    coeffs = [box.pack(res.terms) for res in results]
+    coeffs = []
+    while orders:  # re-key each order onto the common box and drop its own keys
+        own, keyed = orders.pop(0)
+        coeffs.append(box.pack(own.unpack(keyed)))
+        del keyed
     for pole in poles:
         step = box.offset(pole)
         for j in range(top, 0, -1):

@@ -15,6 +15,7 @@ from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_p
 from torus_super.invariant import (
     _bold_step,
     _family_core,
+    _lattice_step,
     _multiply_back,
     _numerators,
     _series_bound,
@@ -143,9 +144,27 @@ def _binomial_power(alphabet, b, mult):
     return out
 
 
-def _generic_sides(n, m):
+def _up_to(poly, q_max):
+    """poly without its terms above q^q_max (all of it when q_max is None)."""
+    if q_max is None:
+        return poly
+    return LaurentPolynomial(KNOT, {e: c for e, c in poly.terms.items() if e[1] <= q_max})
+
+
+def _times_binomials(poly, steps, q_max):
+    """poly * prod (1 - x^c)^mult by generic products, kept up to q^q_max.
+    Every step raises q, so the terms kept are exact."""
+    for step, mult in steps:
+        factor = _binomial_power(KNOT, step, 1)
+        for _ in range(mult):
+            poly = _up_to(poly * factor, q_max)
+    return poly
+
+
+def _generic_sides(n, m, q_max=None):
     """([n_Y], N) from the family's factored data by generic products only:
-    N = sum_Y n_Y * (D / D_Y), with D the lcm of the bold denominators."""
+    N = sum_Y n_Y * (D / D_Y), with D the lcm of the bold denominators.
+    Each n_Y * (D / D_Y), and so N, is kept up to q^q_max."""
     core = _family_core(n)
     k, r = m // n, m % n
     e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
@@ -159,16 +178,13 @@ def _generic_sides(n, m):
             num = num * _binomial_power(MACD, b, mult)
         num = num.substitute(MACD_TO_KNOT)
         numerators.append(num)
-        for step, mult in (lcm - Counter(dict(part.denominator))).items():
-            num = num * _binomial_power(KNOT, step, mult)
-        total = total + num
+        missing = (lcm - Counter(dict(part.denominator))).items()
+        total = total + _times_binomials(_up_to(num, q_max), missing, q_max)
     return numerators, total
 
 
-def _times_denominator(poly, n):
-    for step, mult in _family_core(n).lcm:
-        poly = poly * _binomial_power(KNOT, step, mult)
-    return poly
+def _times_denominator(poly, n, q_max=None):
+    return _times_binomials(_up_to(poly, q_max), _family_core(n).lcm, q_max)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -192,19 +208,22 @@ def _lowest_term(poly):
 
 def test_nonpolynomial_witness_is_lowest_term_of_the_difference():
     # The witness is recomputed with plain products, apart from the packed check.
-    for n in range(2, 5):
-        for m in range(1, 13):
-            if math.gcd(n, m) == 1:
-                continue
-            result = compute(n, m)
-            assert isinstance(result, NonPolynomial), (n, m)
-            core = _family_core(n)
-            numerators = _numerators(KnotRequest(n, m))
-            series = _series_sum(core, numerators, _series_bound(core, numerators))
-            _, total = _generic_sides(n, m)
-            exps, diff = _lowest_term(_times_denominator(series, n) - total)
-            assert f"lowest term {diff} at (a, q, t) = {exps}" in result.reason, (n, m)
-            assert _multiply_back(core, series, numerators) == (exps, diff)
+    # Up to n = 4 the whole difference is formed.  For the larger pairs only
+    # its terms up to the witness's q are: every binomial raises q, so those
+    # are exact, and a lower term would show among them.
+    pairs = [(n, m) for n in range(2, 5) for m in range(1, 13) if math.gcd(n, m) > 1]
+    for n, m in pairs + [(5, 10), (6, 8), (6, 9), (6, 10)]:
+        result = compute(n, m)
+        assert isinstance(result, NonPolynomial), (n, m)
+        core = _family_core(n)
+        numerators = _numerators(KnotRequest(n, m))
+        series = _series_sum(core, numerators, _series_bound(core, numerators))
+        witness = _multiply_back(core, series, numerators)
+        q_max = None if n < 5 else witness[0][1]
+        _, total = _generic_sides(n, m, q_max)
+        exps, diff = _lowest_term(_times_denominator(series, n, q_max) - total)
+        assert f"lowest term {diff} at (a, q, t) = {exps}" in result.reason, (n, m)
+        assert witness == (exps, diff), (n, m)
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 7), (4, 5), (5, 6)])
@@ -227,6 +246,52 @@ def test_multiply_back_rejects_corrupted_series(n, m):
     assert _multiply_back(core, short, numerators) is not None
 
 
+def _lattice_point(e):
+    """Macdonald (i, j) of a bold exponent (a, q, t): t = 2i + a/2, q = 2(i + j)."""
+    a, q, t = e
+    i = (t - a // 2) // 2
+    return i, q // 2 - i
+
+
+def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order():
+    # T is corrupted by 3 at (i, j) = (0, 5) and by -2 at (1, 0), both in the
+    # a = 0 slice, so T*D - N = (3 x^(0,10,0) - 2 x^(0,2,2)) * D.  D starts
+    # with 1 and every step raises both q and (i, j), so the first corrupted
+    # term is lowest in (i, j) packing order and the second in (q, t, a).
+    n, m = 3, 4
+    core = _family_core(n)
+    numerators = _numerators(KnotRequest(n, m))
+    series = _series_sum(core, numerators, _series_bound(core, numerators))
+    assert _multiply_back(core, series, numerators) is None
+    corrupted = series + knot({(0, 10, 0): 3, (0, 2, 2): -2})
+    _, total = _generic_sides(n, m)
+    diff = _times_denominator(corrupted, n) - total
+    packing_first = min((e for e in diff.terms if e[0] == 0), key=_lattice_point)
+    assert (packing_first, diff.terms[packing_first]) == ((0, 10, 0), 3)
+    assert _lowest_term(diff) == ((0, 2, 2), -2)
+    assert _multiply_back(core, corrupted, numerators) == ((0, 2, 2), -2)
+
+
+@pytest.mark.parametrize("side", ["series", "numerator"])
+@pytest.mark.parametrize(
+    "exponent",
+    [(0, 3, 0), (0, 2, 1), (2, 4, 2), (1, 2, 0)],
+    ids=["odd q", "t odd at a=0", "t - a/2 odd at a=2", "odd a"],
+)
+def test_multiply_back_names_an_exponent_off_the_bold_lattice(side, exponent):
+    n, m = 3, 4
+    core = _family_core(n)
+    numerators = _numerators(KnotRequest(n, m))
+    series = _series_sum(core, numerators, _series_bound(core, numerators))
+    stray = knot({exponent: 1})
+    if side == "series":
+        series = series + stray
+    else:
+        numerators = [numerators[0] + stray] + numerators[1:]
+    with pytest.raises(IntegrityError, match=re.escape(f"exponent {exponent} is off the bold lattice")):
+        _multiply_back(core, series, numerators)
+
+
 def test_denominators_lie_on_series_cone():
     for n in range(1, 9):
         core = _family_core(n)
@@ -241,6 +306,12 @@ def test_denominators_lie_on_series_cone():
     for b in [(0, 0, 1), (-1, 1, 0), (-1, 2, 0), (1, -2, 0)]:
         with pytest.raises(IntegrityError):
             _bold_step(b)
+    # The bold step (0, 2(x + y), 2x) of 1 - q^x t^y is the Macdonald step (x, y).
+    assert _lattice_step((0, 2, 0)) == (0, 1)
+    assert _lattice_step((0, 6, 2)) == (1, 2)
+    for c in [(0, 3, 0), (0, 2, 1), (0, 2, 4)]:
+        with pytest.raises(IntegrityError, match=re.escape(f"step {c}")):
+            _lattice_step(c)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
