@@ -76,13 +76,15 @@ def cached_compute(n: int, m: int):
     """compute() behind a delete-safe file cache keyed by the code version.
 
     An entry holds the canonical JSON and the content that normalization
-    removed, so a hit returns what compute() returns.
+    removed, so a hit returns what compute() returns.  An entry for another
+    knot than the one asked for is a miss.
     """
     path = _cache_dir() / f"{n}_{m}_{_code_version()}.json"
     try:
         entry = json.loads(path.read_text())
         hit = superpolynomial_from_json(entry["superpolynomial"])
-        return replace(hit, content=tuple(int(x) for x in entry["content"]))
+        if (hit.n, hit.m) == (n, m):
+            return replace(hit, content=tuple(int(x) for x in entry["content"]))
     except Exception:
         pass  # miss, stale key, or corrupt entry; recompute
     result = compute(n, m)

@@ -3,31 +3,34 @@
 The (n, m) invariant is a sum over partitions Y of n.  Each summand is a
 factored rational in (q, t, A) times an elementary-symmetric cofactor e_r(Y)
 and a monomial that carries everything m-dependent.  compute() never forms
-the common numerator.  It expands only each summand's small bold numerator
-n_Y in (a, q, t); every bold denominator binomial is 1 - x^c with
-c = (0, c_q > 0, c_t >= 0), so 1/D_Y is a power series on that cone.  The
-series of the n_Y / D_Y are truncated at hi = max_Y (top(n_Y) - deg D_Y),
+the common numerator, and it runs on Macdonald exponents q^x t^y A^z until
+the answer is finished.  It expands only each summand's small numerator n_Y
+and slices it by z once; every denominator binomial is 1 - q^x t^y with
+x, y >= 0 and x + y > 0, so 1/D_Y is a power series on that cone and leaves
+z alone.  The series of the n_Y / D_Y are truncated where their bold image
+(2z, 2(x + y), 2x + z) in (a, q, t) passes hi = max_Y (top(n_Y) - deg D_Y),
 which bounds the sum wherever it is a polynomial, and added up into T.
 
 The multiply-back certificate then checks T * D == sum_Y n_Y * (D / D_Y)
 exactly, for the lcm D of the denominators, on Kronecker-packed Python
-ints, one a-slice at a time.  A slice is packed on the Macdonald lattice
-(i, j), t = 2i + a/2 and q = 2(i + j), where a bold step
-c = (0, 2(x + y), 2x) is (x, y) and each row spans j plus the reach in j
-of the steps a side is multiplied by; that box is several times smaller
-than one on (q/2, t).  Equality proves T is the invariant; a difference
-proves the sum is not a polynomial, and its lowest term in (q, t, a)
-order, read from the lowest nonzero digit of each i-row, is the witness.
-T is finally normalized by its monomial content so the lowest term is +1.
+ints, one z-slice at a time.  A slice is packed on (x, y), where a step of
+D is one shift and each row spans y plus the reach in y of the steps a side
+is multiplied by; that box is several times smaller than one on the bold
+(q/2, t).  Equality proves T is the invariant; a difference proves the sum
+is not a polynomial, and its lowest term in bold (q, t, a) order, read from
+the lowest nonzero digit of each x-row, is the witness.  Only the finished
+T and that witness are substituted into (a, q, t), by
+q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z), and T is normalized
+by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) has one pole per distinct framing of the
 partitions of n, since summands with the same framing merge into one
 geometric term.  Its generating function is therefore fit from compute()
 alone: the numerator is the pole product times the first orders, one per
 pole, and orders p..top of that product must vanish, which certifies the
-series against the direct computations up to order top >= p.  The fit, the
-series and the series sum run on integer exponent keys (_Box), where a
-monomial shift is one integer add.
+series against the direct computations up to order top >= p.  The fit and
+the series run on integer exponent keys (_Box), where a monomial shift is
+one integer add.
 """
 
 from __future__ import annotations
@@ -155,13 +158,17 @@ class NonPolynomial:
     reason: str = "the multiply-back check failed"
 
 
+# Macdonald steps (x, y) of ``prod (1 - q^x t^y)^mult``, with multiplicities.
+_Steps = tuple[tuple[tuple[int, int], int], ...]
+
+
 @dataclass(frozen=True)
 class _Summand:
     """One partition's summand ``coeff * x^prefactor * prod (1 - x^b)^e / D_Y``.
 
-    The numerator binomials stay over MACD, where their bold images may
-    carry a sign.  The bold denominator D_Y is a list of steps c of
-    ``1 - x^c`` with multiplicities.
+    All of it is over MACD: the numerator binomials ``1 - x^b`` with their
+    multiplicities, and D_Y as the steps (x, y) of ``1 - q^x t^y`` with
+    theirs.
     """
 
     partition: Partition
@@ -169,11 +176,11 @@ class _Summand:
     coeff: int
     prefactor: Monomial
     numerator: tuple[tuple[Monomial, int], ...]
-    denominator: tuple[tuple[Monomial, int], ...]
+    denominator: _Steps
 
 
-# Macdonald steps (x, y) of ``prod (1 - q^x t^y)^mult``, with multiplicities.
-_Steps = tuple[tuple[tuple[int, int], int], ...]
+# A polynomial over MACD as slices z -> {(x, y): coefficient of q^x t^y A^z}.
+_Slices = dict[int, dict[tuple[int, int], int]]
 # The multiply-back tree over the summands: a leaf is a summand's index, a
 # node (left, right, left_steps, right_steps) brings both halves to the lcm
 # of their denominators by the steps each half misses.
@@ -185,38 +192,27 @@ class _FamilyCore:
     """m-independent data shared by every invariant of strand count n."""
 
     parts: tuple[_Summand, ...]
-    # The lcm D of the summands' denominators as bold steps with multiplicities.
-    lcm: tuple[tuple[Monomial, int], ...]
     # Largest |coefficient| of D expanded, for the multiply-back digit width.
     lcm_peak: int
-    # D on Macdonald steps, and the tree that sums N = sum_Y n_Y * (D / D_Y).
+    # The lcm D of the summands' denominators as steps with multiplicities,
+    # and the tree that sums N = sum_Y n_Y * (D / D_Y).
     lcm_steps: _Steps
     tree: _Node
     # Per summand: the copies and the reach sum(y * mult) of D / D_Y.
     missing: tuple[tuple[int, int], ...]
 
 
-def _bold_step(b: Monomial) -> Monomial:
-    """Step c of the bold image ``1 - x^c`` of a denominator binomial ``1 - x^b``.
+def _cone_step(b: Monomial) -> tuple[int, int]:
+    """Step (x, y) of a denominator binomial ``1 - q^x t^y A^z``.
 
-    Its inverse expands as ``sum_k x^(k c)`` on the series cone only if the
-    sign is +1 and c = (0, c_q > 0, c_t >= 0); anything else is an
+    Its inverse expands as ``sum_k q^(k x) t^(k y)`` on the series cone only
+    if the binomial has no A, x, y >= 0 and x + y > 0; anything else is an
     IntegrityError.
     """
-    sign, c = MACD_TO_KNOT.image(b)
-    if sign != 1 or c[0] != 0 or c[1] <= 0 or c[2] < 0:
-        raise IntegrityError(
-            f"denominator binomial 1 - x^{b} maps to 1 - ({sign})x^{c}, off the series cone"
-        )
-    return c
-
-
-def _degree(steps: tuple[tuple[Monomial, int], ...]) -> Monomial:
-    """Top exponent of ``prod (1 - x^c)^mult`` per coordinate (every c >= 0)."""
-    deg = (0, 0, 0)
-    for c, mult in steps:
-        deg = tuple(d + mult * x for d, x in zip(deg, c))
-    return deg
+    x, y, z = b
+    if z or x < 0 or y < 0 or x + y <= 0:
+        raise IntegrityError(f"denominator binomial 1 - x^{b} is off the series cone")
+    return x, y
 
 
 class _Box:
@@ -282,20 +278,6 @@ def _add_shifted(into: dict[int, Coeff], keyed: dict[int, Coeff], offset: int, s
             into[key] = as_coeff(total)
 
 
-def _lattice_step(c: Monomial) -> tuple[int, int]:
-    """Macdonald exponent (x, y) of the bold step c = (0, 2(x + y), 2x) of
-    ``1 - q^x t^y``; a step off that lattice, or with y < 0, is an
-    IntegrityError."""
-    _, cq, ct = c
-    if cq % 2 or ct % 2 or ct > cq:
-        raise IntegrityError(f"step {c} is off the bold lattice")
-    return ct // 2, (cq - ct) // 2
-
-
-def _lattice_steps(steps: Counter) -> _Steps:
-    return tuple(sorted((_lattice_step(c), mult) for c, mult in steps.items()))
-
-
 def _lcm_peak(steps: _Steps) -> int:
     """Largest |coefficient| of ``D = prod (1 - q^x t^y)^mult``, expanded
     once as a Kronecker-packed int.
@@ -329,7 +311,8 @@ def _merge_tree(dens: list[Counter], lo: int, hi: int) -> tuple[_Node, Counter]:
     left, d1 = _merge_tree(dens, lo, mid)
     right, d2 = _merge_tree(dens, mid, hi)
     both = d1 | d2
-    return (left, right, _lattice_steps(both - d1), _lattice_steps(both - d2)), both
+    left_steps, right_steps = (tuple(sorted((both - d).items())) for d in (d1, d2))
+    return (left, right, left_steps, right_steps), both
 
 
 @lru_cache(maxsize=None)
@@ -342,13 +325,6 @@ def _family_core(n: int) -> _FamilyCore:
         power_sum_coefficient(y) * macdonald_dimension(y) * unknot_dim_inverse * const
         for y in ys
     ]
-    # The lcm divides by each binomial as often as any summand does.
-    lcm: dict[Monomial, int] = {}
-    for base in bases:
-        for b, mult in base.factors.items():
-            if mult < 0:
-                lcm[b] = max(lcm.get(b, 0), -mult)
-    steps = {b: _bold_step(b) for b in lcm}
     parts = []
     for y, base in zip(ys, bases):
         if not isinstance(base.coeff, int):
@@ -359,29 +335,31 @@ def _family_core(n: int) -> _FamilyCore:
             coeff=base.coeff,
             prefactor=base.prefactor,
             numerator=tuple(sorted((b, e) for b, e in base.factors.items() if e > 0)),
-            denominator=tuple(sorted((steps[b], -e) for b, e in base.factors.items() if e < 0)),
+            denominator=tuple(sorted(
+                (_cone_step(b), -e) for b, e in base.factors.items() if e < 0
+            )),
         ))
-    lcm_bold = Counter({steps[b]: mult for b, mult in lcm.items()})
-    lcm_steps = _lattice_steps(lcm_bold)
     dens = [Counter(dict(part.denominator)) for part in parts]
+    # The root's lcm divides by each step as often as any summand does.
+    tree, lcm = _merge_tree(dens, 0, len(dens))
     missing = []
     for den in dens:
-        rest = _lattice_steps(lcm_bold - den)
+        rest = (lcm - den).items()
         missing.append((sum(mult for _, mult in rest), sum(y * mult for (_, y), mult in rest)))
+    lcm_steps = tuple(sorted(lcm.items()))
     return _FamilyCore(
         parts=tuple(parts),
-        lcm=tuple(sorted(lcm_bold.items())),
         lcm_peak=_lcm_peak(lcm_steps),
         lcm_steps=lcm_steps,
-        tree=_merge_tree(dens, 0, len(dens))[0],
+        tree=tree,
         missing=tuple(missing),
     )
 
 
-def _numerators(req: KnotRequest) -> list[LaurentPolynomial]:
-    """Each summand's bold numerator n_Y: the cofactor e_r(Y) times the
-    summand's monomial, its m-dependent shift and its numerator binomials,
-    substituted into (a, q, t)."""
+def _numerators(req: KnotRequest) -> list[_Slices]:
+    """Each summand's numerator n_Y as slices by the power of A: the cofactor
+    e_r(Y) times the summand's monomial, its m-dependent shift and its
+    numerator binomials."""
     n, m = req.n, req.m
     k, r = req.quotient, req.remainder
     e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
@@ -390,114 +368,123 @@ def _numerators(req: KnotRequest) -> list[LaurentPolynomial]:
         t_q, t_t, _ = part.framing
         shift = monomial_mul(part.prefactor, (e + k * t_q, m + k * t_t, 0))
         start = cell_elementary(part.partition, r).shifted(shift, part.coeff)
-        out.append(expand_binomial_product(start, part.numerator).substitute(MACD_TO_KNOT))
+        slices: _Slices = {}
+        for (x, y, z), c in expand_binomial_product(start, part.numerator).terms.items():
+            slices.setdefault(z, {})[x, y] = c
+        out.append(slices)
     return out
 
 
-def _series_bound(core: _FamilyCore, numerators: list[LaurentPolynomial]) -> Monomial:
-    """hi = max_Y (top(n_Y) - deg D_Y) per coordinate.
+def _substitute(slices: _Slices, content: Monomial = (0, 0, 0)) -> LaurentPolynomial:
+    """The bold image in (a, q, t) divided by x^content, term by term:
+    q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z)."""
+    c_a, c_q, c_t = content
+    out = LaurentPolynomial.zero(KNOT)
+    out.terms = {
+        (2 * z - c_a, 2 * (x + y) - c_q, 2 * x + z - c_t): -c if z % 2 else c
+        for z, terms in slices.items()
+        for (x, y), c in terms.items()
+    }
+    return out
+
+
+def _series_bound(core: _FamilyCore, numerators: list[_Slices]) -> Monomial:
+    """hi = max_Y (top(n_Y) - deg D_Y) per bold coordinate (a, q, t).
 
     If the sum S of the summands is a polynomial, S * D = N with
     N = sum_Y n_Y * (D / D_Y), and top(N) <= hi + deg D, so S lies under hi.
+    A term q^x t^y A^z is bold (2z, 2(x + y), 2x + z), and a step (x, y)
+    raises that by (0, 2(x + y), 2x).
     """
-    tops = [
-        monomial_div(num.max_exponents(), _degree(part.denominator))
-        for part, num in zip(core.parts, numerators)
-    ]
+    tops = []
+    for part, num in zip(core.parts, numerators):
+        deg_q = sum(2 * (x + y) * mult for (x, y), mult in part.denominator)
+        deg_t = sum(2 * x * mult for (x, _), mult in part.denominator)
+        top_q = max(2 * (x + y) for terms in num.values() for x, y in terms)
+        top_t = max(2 * x + z for z, terms in num.items() for x, _ in terms)
+        tops.append((2 * max(num), top_q - deg_q, top_t - deg_t))
     return tuple(max(col) for col in zip(*tops))
 
 
-def _series_sum(
-    core: _FamilyCore, numerators: list[LaurentPolynomial], hi: Monomial
-) -> LaurentPolynomial:
+def _series_sum(core: _FamilyCore, numerators: list[_Slices], hi: Monomial) -> _Slices:
     """T: the sum over Y of the series of n_Y / D_Y, truncated at hi.
 
-    Each copy of a denominator binomial ``1 - x^c`` is one pass of the line
-    recurrence ``g[e] = f[e] + g[e - c]``, in place and in ascending q: c_q > 0,
-    so g[e - c] is final when e is reached.  Every c is >= 0, so no exponent
-    falls back under hi once it rises above it, and truncating commutes with
-    the division.  A series is kept as rows ``q -> {key: coefficient}`` on
-    the keys of the box from the numerators' lowest exponents to hi, where
-    every exponent the passes keep lies; a step is one add to the key.
+    A term q^x t^y A^z is kept while its bold image lies under hi:
+    d = x + y <= hi_q / 2 and 2x + z <= hi_t.  No step moves z, so every
+    2z <= hi_a, and each z-slice of n_Y is divided on its own, kept as rows
+    ``d -> {x: coefficient}``.  Each copy of a step (x, y) is one pass of the
+    line recurrence ``g[e] = f[e] + g[e - (x, y)]``, in place and in
+    ascending d: x + y > 0, so g[e - (x, y)] is final when e is reached.
+    Every step is >= 0, so no term falls back under hi once it rises above
+    it, and truncating commutes with the division.
     """
-    lo = tuple(_span(num for num in numerators if num)[0])
-    box = _Box(lo, tuple(map(max, lo, hi)))
-    s_a, s_t = box.strides
-    base = box.offset(lo)
-    total: dict[int, int] = {}
+    top_d = hi[1] // 2
+    sums: dict[int, dict[int, dict[int, int]]] = {}  # z -> d -> x -> coefficient
     for part, num in zip(core.parts, numerators):
-        rows: dict[int, dict[int, int]] = {}
-        for (a, q, t), c in num.terms.items():
-            if a <= hi[0] and q <= hi[1] and t <= hi[2]:
-                rows.setdefault(q, {})[a * s_a + q * s_t + t - base] = c
-        if not rows:
-            continue  # n_Y / D_Y lies wholly above hi
-        for c_step, mult in part.denominator:
-            cq = c_step[1]
-            step = box.offset(c_step)
-            room = s_t - c_step[2]  # a key keeps its t <= hi_t when key % s_t < room
-            for _ in range(mult):
-                for q in range(min(rows), hi[1] - cq + 1):
-                    row = rows.get(q)
-                    if not row:
-                        continue
-                    above = rows.setdefault(q + cq, {})
-                    for key, c in row.items():
-                        if key % s_t < room:
-                            key += step
-                            above[key] = above.get(key, 0) + c
-        for row in rows.values():
-            for key, c in row.items():
-                total[key] = total.get(key, 0) + c
-        del rows
-    return box.unpack(total)
+        for z, terms in num.items():
+            top_x = (hi[2] - z) // 2
+            rows: dict[int, dict[int, int]] = {}
+            for (x, y), c in terms.items():
+                if x <= top_x and x + y <= top_d:
+                    rows.setdefault(x + y, {})[x] = c
+            if not rows:
+                continue  # this slice of n_Y / D_Y lies wholly above hi
+            for (sx, sy), mult in part.denominator:
+                sd = sx + sy
+                room = top_x - sx  # x + sx stays <= top_x when x <= room
+                for _ in range(mult):
+                    for d in range(min(rows), top_d - sd + 1):
+                        row = rows.get(d)
+                        if not row:
+                            continue
+                        above = rows.setdefault(d + sd, {})
+                        for x, c in row.items():
+                            if x <= room:
+                                x += sx
+                                above[x] = above.get(x, 0) + c
+            into = sums.setdefault(z, {})
+            for d, row in rows.items():
+                acc = into.setdefault(d, {})
+                for x, c in row.items():
+                    acc[x] = acc.get(x, 0) + c
+    total = {
+        z: {(x, d - x): c for d, row in rows.items() for x, c in row.items() if c}
+        for z, rows in sums.items()
+    }
+    return {z: terms for z, terms in total.items() if terms}
 
 
 def _multiply_back(
-    core: _FamilyCore, total: LaurentPolynomial, numerators: list[LaurentPolynomial]
+    core: _FamilyCore, total: _Slices, numerators: list[_Slices]
 ) -> tuple[Monomial, int] | None:
     """Exact check ``T * D == N = sum_Y n_Y * (D / D_Y)`` on packed ints.
 
-    No binomial of D changes the power of a, so the identity holds exactly
-    when it holds in every a-slice; a slice at a time keeps the packed ints
-    small.  Within a slice every exponent is the bold image of a Macdonald
-    one: t = 2i + a/2 and q = 2(i + j), and a step c = (0, 2(x + y), 2x)
-    of D is (x, y).  An exponent off that lattice (odd a, odd q, or
-    t - a/2 odd) is an IntegrityError naming it.  Each side of a slice is
-    Kronecker-packed into one Python int, one w-bit signed digit per (i, j)
-    of the box both sides live in, i the more significant; the row width
-    spans j plus the reach sum(y * mult) of the steps each side misses, so a
-    step is the shift ``w * (x * width + y)``.  w exceeds twice the proven
-    bound L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y) on
-    every digit of either side, so the packing is injective and the ints
-    are equal exactly when the polynomials are.  Each binomial copy is one
+    No binomial of D changes the power z of A, so the identity holds exactly
+    when it holds in every z-slice; a slice at a time keeps the packed ints
+    small.  Each side of a slice is Kronecker-packed into one Python int,
+    one w-bit signed digit per (x, y) of the box both sides live in, x the
+    more significant; the row width spans y plus the reach sum(y * mult) of
+    the steps each side misses, so a step (x, y) is the shift
+    ``w * (x * width + y)``.  w exceeds twice the proven bound
+    L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y) on every
+    digit of either side, so the packing is injective and the ints are equal
+    exactly when the polynomials are.  Each binomial copy is one
     ``v -= v << shift``; N is summed over the family's balanced tree, each
     pair of halves brought to the lcm of its denominators.  Returns None on
-    equality, otherwise the lowest exponent of T * D - N, in (q, t, a)
-    order, and the coefficient there.  That is not the lowest packed digit:
-    it is the lowest (i + j, i) among the lowest nonzero digit of each
-    i-row, read from the difference with 2^(w - 1) added to every digit.
+    equality, otherwise the bold image of the lowest term of T * D - N in
+    (q, t, a) order.  That is not the lowest packed digit: it is the lowest
+    bold image among the lowest nonzero digit of each x-row, read from the
+    difference with 2^(w - 1) added to every digit.
     """
-    lcm_reach = sum(y * mult for (_, y), mult in core.lcm_steps)
-
-    def by_a(poly: LaurentPolynomial) -> dict[int, dict[tuple[int, int], int]]:
-        out: dict[int, dict[tuple[int, int], int]] = {}
-        for (a, q, t), c in poly.terms.items():
-            i, odd = divmod(t - a // 2, 2)
-            if a % 2 or q % 2 or odd:
-                raise IntegrityError(f"exponent {(a, q, t)} is off the bold lattice")
-            out.setdefault(a, {})[(i, q // 2 - i)] = c
-        return out
-
-    slices = [by_a(total)] + [by_a(num) for num in numerators]
-    reach = [lcm_reach] + [r for _, r in core.missing]
-    witnesses = []
-    for a in sorted(set().union(*slices)):
-        sides = [s.pop(a, {}) for s in slices]  # T's slice, then each n_Y's
-        lo_i = min(i for side in sides for i, _ in side)
-        lo_j = min(j for side in sides for _, j in side)
-        width = max(max(j for _, j in side) + r for side, r in zip(sides, reach) if side)
-        width += 1 - lo_j
+    slices = [total] + numerators
+    reach = [sum(y * mult for (_, y), mult in core.lcm_steps)] + [r for _, r in core.missing]
+    found: _Slices = {}
+    for z in sorted(set().union(*slices)):
+        sides = [s.get(z, {}) for s in slices]  # T's slice, then each n_Y's
+        lo_x = min(x for side in sides for x, _ in side)
+        lo_y = min(y for side in sides for _, y in side)
+        width = max(max(y for _, y in side) + r for side, r in zip(sides, reach) if side)
+        width += 1 - lo_y
         bound = sum(abs(c) for c in sides[0].values()) * core.lcm_peak
         for side, (spare, _) in zip(sides[1:], core.missing):
             bound += sum(abs(c) for c in side.values()) << spare
@@ -505,7 +492,7 @@ def _multiply_back(
         w = 8 * nbytes
 
         def pack(side: dict[tuple[int, int], int]) -> int:
-            spots = [((i - lo_i) * width + j - lo_j, c) for (i, j), c in side.items()]
+            spots = [((x - lo_x) * width + y - lo_y, c) for (x, y), c in side.items()]
             size = (max((k for k, _ in spots), default=-1) + 1) * nbytes
             v = 0
             for sign in (1, -1):  # positive digits, then negative ones
@@ -545,14 +532,15 @@ def _multiply_back(
             data = biased.to_bytes(rows * row, "little")
             marks = (biased ^ bias).to_bytes(rows * row, "little")
             for r in range(rows):
-                found = int.from_bytes(marks[r * row:(r + 1) * row], "little")
-                if found:
-                    j = ((found & -found).bit_length() - 1) // w
-                    at = r * row + j * nbytes
+                mark = int.from_bytes(marks[r * row:(r + 1) * row], "little")
+                if mark:
+                    y = ((mark & -mark).bit_length() - 1) // w
+                    at = r * row + y * nbytes
                     digit = int.from_bytes(data[at:at + nbytes], "little") - (1 << (w - 1))
-                    i, j = lo_i + r, lo_j + j
-                    witnesses.append(((a, 2 * (i + j), 2 * i + a // 2), digit))
-    return min(witnesses, key=lambda found: found[0][1:] + found[0][:1], default=None)
+                    found.setdefault(z, {})[lo_x + r, lo_y + y] = digit
+    if not found:
+        return None
+    return min(_substitute(found).terms.items(), key=lambda term: term[0][1:] + term[0][:1])
 
 
 def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> PropertyFlags:
@@ -578,8 +566,9 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     they are equal, T is the invariant.  If not, the sum is not a polynomial
     (a polynomial sum lies under hi, so T would be it); this happens exactly
     when gcd(n, m) > 1, and the reason names the lowest term of T * D - N.
-    T is stripped of its monomial content and must start with constant term
-    +1.  Results are immutable and memoized.
+    All of this runs on Macdonald exponents; only the finished T is
+    substituted into (a, q, t), stripped of its monomial content, and must
+    start with constant term +1.  Results are immutable and memoized.
     """
     return _compute(n, m)
 
@@ -598,9 +587,15 @@ def _compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
             f"at (a, q, t) = {exps}"
         )
         return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
-    if total.is_zero():
+    if not total:
         raise IntegrityError(f"({n},{m}): invariant vanished identically")
-    content, normalized = total.divide_content()
+    # The monomial content is the lowest bold exponent per coordinate.
+    content = (
+        2 * min(total),
+        2 * min(x + y for terms in total.values() for x, y in terms),
+        min(2 * x + z for z, terms in total.items() for x, _ in terms),
+    )
+    normalized = _substitute(total, content)
     if normalized.constant_term != 1:
         raise IntegrityError(
             f"({n},{m}): lowest term is {normalized.constant_term}, expected +1; "

@@ -218,6 +218,19 @@ def test_cached_compute_keeps_content(tmp_path):
     assert "content" in json.loads(entry.read_text())
 
 
+def test_cached_compute_rejects_another_knots_entry(tmp_path):
+    cli.cached_compute(2, 3)
+    (entry,) = (tmp_path / "cache").glob("2_3_*.json")
+    moved = entry.with_name(entry.name.replace("2_3_", "3_4_", 1))
+    shutil.copy(entry, moved)
+    got = cli.cached_compute(3, 4)
+    want = compute(3, 4)
+    assert (got.n, got.m) == (3, 4)
+    assert (got.terms, got.content) == (want.terms, want.content)
+    # The wrong entry was overwritten by the recomputed one.
+    assert json.loads(json.loads(moved.read_text())["superpolynomial"])["m"] == 4
+
+
 def test_module_entry_point(tmp_path):
     # An empty PATH shows the module runs without the console script; the
     # child imports the same checkout as this process, installed or not.
