@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .algebra import LaurentPolynomial, format_polynomial
@@ -55,6 +56,7 @@ _CORE_MODULES = ("partitions.py", "algebra.py", "macdonald.py", "invariant.py")
 # -- advisory result cache -----------------------------------------------------
 
 
+@cache  # the sources do not change under a running process
 def _code_version() -> str:
     digest = hashlib.sha256()
     root = Path(__file__).parent

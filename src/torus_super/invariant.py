@@ -25,12 +25,13 @@ by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) has one pole per distinct framing of the
 partitions of n, since summands with the same framing merge into one
-geometric term.  Its generating function is therefore fit from compute()
-alone: the numerator is the pole product times the first orders, one per
-pole, and orders p..top of that product must vanish, which certifies the
-series against the direct computations up to order top >= p.  The fit and
-the series run on integer exponent keys (_Box), where a monomial shift is
-one integer add.
+geometric term.  Its generating function is therefore fit from the
+certified slices T of compute() alone: the numerator is the product of the
+1 - z*f over the distinct Macdonald framings f times the first orders, one
+per pole, and orders p..top of that product must vanish, which certifies
+the series against the direct computations up to order top >= p.  Only the
+finished numerator orders are substituted into (a, q, t), and the series
+runs on their (a, q, t) terms.
 """
 
 from __future__ import annotations
@@ -215,69 +216,6 @@ def _cone_step(b: Monomial) -> tuple[int, int]:
     return x, y
 
 
-class _Box:
-    """Integer keys for the (a, q, t) exponents inside the box lo..hi.
-
-    ``key = ((a - lo_a) * S_q + (q - lo_q)) * S_t + (t - lo_t)``, S the box's
-    sizes, so the strides of a and q are S_q * S_t and S_t, and
-    ``key % S_t`` is t - lo_t.  The map is affine: multiplying a term by x^c
-    adds ``offset(c)`` to its key.  It is injective on the box only, so a
-    caller must prove that every exponent it forms lies inside.
-    """
-
-    __slots__ = ("lo", "strides")
-
-    def __init__(self, lo: Monomial, hi: Monomial):
-        s_t = hi[2] - lo[2] + 1
-        self.lo = lo
-        self.strides = ((hi[1] - lo[1] + 1) * s_t, s_t)
-
-    def offset(self, c: Monomial) -> int:
-        s_a, s_t = self.strides
-        return c[0] * s_a + c[1] * s_t + c[2]
-
-    def pack(self, poly: LaurentPolynomial) -> dict[int, Coeff]:
-        s_a, s_t = self.strides
-        base = self.offset(self.lo)
-        return {a * s_a + q * s_t + t - base: c for (a, q, t), c in poly.terms.items()}
-
-    def unpack(self, keyed: dict[int, Coeff]) -> LaurentPolynomial:
-        """The polynomial of the keyed terms; zero coefficients are dropped."""
-        lo_a, lo_q, lo_t = self.lo
-        s_a, s_t = self.strides
-        terms = {}
-        for key, c in keyed.items():
-            if c:
-                a, rest = divmod(key, s_a)
-                q, t = divmod(rest, s_t)
-                terms[(lo_a + a, lo_q + q, lo_t + t)] = c
-        out = LaurentPolynomial.zero(KNOT)
-        out.terms = terms
-        return out
-
-
-def _span(polys) -> tuple[list[int], list[int]]:
-    """Lowest and highest exponent per coordinate over nonzero polynomials."""
-    polys = list(polys)
-    return (
-        [min(col) for col in zip(*(p.min_exponents() for p in polys))],
-        [max(col) for col in zip(*(p.max_exponents() for p in polys))],
-    )
-
-
-def _add_shifted(into: dict[int, Coeff], keyed: dict[int, Coeff], offset: int, sign: int) -> None:
-    """``into += sign * x^c * keyed`` in place; ``offset`` is c's key offset."""
-    for key, c in keyed.items():
-        key += offset
-        total = into.get(key, 0) + sign * c
-        if not total:
-            del into[key]  # c != 0, so the key was there
-        elif type(total) is int:
-            into[key] = total
-        else:
-            into[key] = as_coeff(total)
-
-
 def _lcm_peak(steps: _Steps) -> int:
     """Largest |coefficient| of ``D = prod (1 - q^x t^y)^mult``, expanded
     once as a Kronecker-packed int.
@@ -379,12 +317,17 @@ def _substitute(slices: _Slices, content: Monomial = (0, 0, 0)) -> LaurentPolyno
     """The bold image in (a, q, t) divided by x^content, term by term:
     q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z)."""
     c_a, c_q, c_t = content
-    out = LaurentPolynomial.zero(KNOT)
-    out.terms = {
+    return _knot({
         (2 * z - c_a, 2 * (x + y) - c_q, 2 * x + z - c_t): -c if z % 2 else c
         for z, terms in slices.items()
         for (x, y), c in terms.items()
-    }
+    })
+
+
+def _knot(terms: dict[Monomial, Coeff]) -> LaurentPolynomial:
+    """The (a, q, t) polynomial that takes over terms, none of them zero."""
+    out = LaurentPolynomial.zero(KNOT)
+    out.terms = terms
     return out
 
 
@@ -570,40 +513,61 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     substituted into (a, q, t), stripped of its monomial content, and must
     start with constant term +1.  Results are immutable and memoized.
     """
-    return _compute(n, m)
+    total = _certified(n, m)
+    if isinstance(total, NonPolynomial):
+        return total
+    content = _content(n, m, total)
+    normalized = _substitute(total, content)
+    return Superpolynomial(
+        n=n, m=m, terms=normalized, content=content, flags=verify_properties(normalized)
+    )
 
 
-def _compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
-    """compute() without its memo, for callers that keep what they need."""
+def _certified(n: int, m: int) -> Union[_Slices, NonPolynomial]:
+    """T as Macdonald slices once the multiply-back certificate holds,
+    otherwise NonPolynomial; nothing is memoized."""
     req = KnotRequest(n, m)
     core = _family_core(n)
     numerators = _numerators(req)
     total = _series_sum(core, numerators, _series_bound(core, numerators))
     witness = _multiply_back(core, total, numerators)
-    if witness is not None:
-        exps, diff = witness
-        reason = (
-            f"multiply-back check failed: T*D - N has lowest term {diff} "
-            f"at (a, q, t) = {exps}"
-        )
-        return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
+    if witness is None:
+        return total
+    exps, diff = witness
+    reason = (
+        f"multiply-back check failed: T*D - N has lowest term {diff} "
+        f"at (a, q, t) = {exps}"
+    )
+    return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
+
+
+def _content(n: int, m: int, total: _Slices) -> Monomial:
+    """The bold monomial content of T, its lowest exponent per coordinate:
+    (2 min z, 2 min (x + y), min (2x + z)).
+
+    The term of T whose bold image is the content must be +1 after the sign
+    (-1)^z, so the normalized invariant starts with constant term +1; a
+    vanishing T or any other lowest term is an IntegrityError.
+    """
     if not total:
         raise IntegrityError(f"({n},{m}): invariant vanished identically")
-    # The monomial content is the lowest bold exponent per coordinate.
     content = (
         2 * min(total),
         2 * min(x + y for terms in total.values() for x, y in terms),
         min(2 * x + z for z, terms in total.items() for x, _ in terms),
     )
-    normalized = _substitute(total, content)
-    if normalized.constant_term != 1:
+    # The bold map is injective: the content's preimage, if on the lattice,
+    # is z = c_a / 2, x = (c_t - z) / 2 and y = c_q / 2 - x.
+    z = content[0] // 2
+    x, odd = divmod(content[2] - z, 2)
+    lowest = 0 if odd else total[z].get((x, content[1] // 2 - x), 0)
+    if z % 2:
+        lowest = -lowest
+    if lowest != 1:
         raise IntegrityError(
-            f"({n},{m}): lowest term is {normalized.constant_term}, expected +1; "
-            f"content {content}"
+            f"({n},{m}): lowest term is {lowest}, expected +1; content {content}"
         )
-    return Superpolynomial(
-        n=n, m=m, terms=normalized, content=content, flags=verify_properties(normalized)
-    )
+    return content
 
 
 def specialize(result: Union[Superpolynomial, LaurentPolynomial], target: str) -> LaurentPolynomial:
@@ -638,33 +602,29 @@ class GeneratingFunction:
 
     def series(self, k_max: int) -> list[LaurentPolynomial]:
         """Taylor coefficients in z up to order k_max, exactly: the numerator
-        divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward.
-
-        The passes run in place on integer keys.  c_k is a numerator order
-        times at most k_max poles, so the box of the numerator's extremes
-        widened by k_max * min(0, pole) and k_max * max(0, pole) per
-        coordinate holds every exponent formed.
-        """
+        divided by each 1 - z*pole in turn, c_k += pole * c_{k-1} upward, in
+        place on the (a, q, t) terms copied from the numerator."""
         if isinstance(k_max, bool) or not isinstance(k_max, int):
             raise TypeError(f"series order must be an integer, got {k_max!r}")
         if k_max < 0:
             raise ValueError(f"series order must be non-negative, got {k_max}")
-        used = [(j, coeff) for j, coeff in self.numerator if j <= k_max]
-        if not any(coeff for _, coeff in used):
-            return [LaurentPolynomial.zero(KNOT) for _ in range(k_max + 1)]
-        lo, hi = _span(coeff for _, coeff in used if coeff)
-        for i, col in enumerate(zip(*self.poles)):
-            lo[i] += k_max * min(0, *col)
-            hi[i] += k_max * max(0, *col)
-        box = _Box(tuple(lo), tuple(hi))
-        out: list[dict[int, Coeff]] = [{} for _ in range(k_max + 1)]
-        for j, coeff in used:
-            out[j] = box.pack(coeff)
-        for pole in self.poles:
-            step = box.offset(pole)
+        out: list[dict[Monomial, Coeff]] = [{} for _ in range(k_max + 1)]
+        for j, coeff in self.numerator:
+            if j <= k_max:
+                out[j] = dict(coeff.terms)
+        for p_a, p_q, p_t in self.poles:
             for k in range(1, k_max + 1):
-                _add_shifted(out[k], out[k - 1], step, 1)
-        return [box.unpack(keyed) for keyed in out]
+                into = out[k]
+                for (a, q, t), c in out[k - 1].items():
+                    key = (a + p_a, q + p_q, t + p_t)
+                    total = into.get(key, 0) + c
+                    if not total:
+                        del into[key]  # c != 0, so the key was there
+                    elif type(total) is int:
+                        into[key] = total
+                    else:
+                        into[key] = as_coeff(total)
+        return [_knot(terms) for terms in out]
 
 
 def _check_family(n: int, r: int) -> None:
@@ -677,79 +637,76 @@ def _check_family(n: int, r: int) -> None:
 
 
 def generating_function(n: int, r: int) -> GeneratingFunction:
-    """Closed form for the winding family m = nk + r, fit from compute().
+    """Closed form for the winding family m = nk + r, fit from the certified
+    orders of compute().
 
     P_k = P(n, nk + r) = sum_Y c_Y * f_Y^k, so summands whose framings f_Y
     coincide merge into one geometric term: there is one pole per distinct
-    framing, p of them.  The invariants P_k are computed for
-    k <= K = max(p, 3), outside compute()'s memo.  The per-step content
-    ratio nu must be the same for every k < K (CalibrationError otherwise);
-    poles are the substituted framing monomials divided by nu.  One
-    recurrence on integer keys fits and certifies: it multiplies
-    sum_{k<=K} P_k z^k by prod (1 - z*pole) mod z^(K+1).  Orders below p
-    are the numerator, and orders p..K of the product must vanish, which
-    holds exactly when the series reproduces every P_k with k <= K.
-    Otherwise a CalibrationError names the first order that does not.
+    framing, p of them.  The certified Macdonald slices T_k of P_k are
+    computed for k <= K = max(p, 3), outside compute()'s memo.  The
+    per-step content ratio nu must be the same for every k < K
+    (CalibrationError otherwise).  One recurrence on the slices fits and
+    certifies: it multiplies sum_{k<=K} T_k z^k by prod (1 - z*f) over the
+    distinct Macdonald framings f = q^(t_q) t^(t_t + n), mod z^(K+1).
+    Orders below p are the numerator, and orders p..K of the product must
+    vanish, which holds exactly when the series reproduces every P_k with
+    k <= K.  Otherwise a CalibrationError names the first order that does
+    not.  The bold map is an injective ring homomorphism and content_k is
+    content_0 + k * nu, so only the finished numerator order j is
+    substituted into (a, q, t), divided by x^(content_0 + j * nu), and each
+    pole is the bold image of its f divided by x^nu.
     """
     _check_family(n, r)
-    framings = {part.framing for part in _family_core(n).parts}
+    framings = {(part.framing[0], part.framing[1] + n) for part in _family_core(n).parts}
     count = len(framings)
     top = max(count, 3)
-    # Each order is kept only as keyed terms on its own box, so no
-    # Superpolynomial outlives the packing of its terms.
-    contents, spans, orders = [], [], []
+    contents, orders = [], []
     for k in range(top + 1):
-        res = _compute(n, n * k + r)
-        if isinstance(res, NonPolynomial):
+        total = _certified(n, n * k + r)
+        if isinstance(total, NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
-        span = res.terms.min_exponents(), res.terms.max_exponents()
-        own = _Box(*span)
-        contents.append(res.content)
-        spans.append(span)
-        orders.append((own, own.pack(res.terms)))
-        del res
+        contents.append(_content(n, n * k + r, total))
+        orders.append(total)
 
     steps = {monomial_div(contents[k + 1], contents[k]) for k in range(top)}
     if len(steps) != 1:
         raise CalibrationError(f"content ratio not constant over k = 0..{top}: {steps}")
     nu = steps.pop()
 
-    poles = []
-    for t_q, t_t, _ in framings:
-        _, image = MACD_TO_KNOT.image((t_q, t_t + n, 0))
-        poles.append(monomial_div(image, nu))
-
-    # One downward pass per pole multiplies P = sum_{k<=top} P_k z^k by
-    # 1 - z*pole, c_j -= pole * c_{j-1}, mod z^(top + 1).  A term of the
-    # product is a P_k times distinct poles, so the box of the P_k's extremes
-    # widened by the poles' summed negative and positive parts holds it.
-    lo = [min(col) for col in zip(*(low for low, _ in spans))]
-    hi = [max(col) for col in zip(*(high for _, high in spans))]
-    for i, col in enumerate(zip(*poles)):
-        lo[i] += sum(x for x in col if x < 0)
-        hi[i] += sum(x for x in col if x > 0)
-    box = _Box(tuple(lo), tuple(hi))
-    coeffs = []
-    while orders:  # re-key each order onto the common box and drop its own keys
-        own, keyed = orders.pop(0)
-        coeffs.append(box.pack(own.unpack(keyed)))
-        del keyed
-    for pole in poles:
-        step = box.offset(pole)
+    # One downward pass per framing multiplies by 1 - z*f,
+    # c_j -= f * c_{j-1}, mod z^(top + 1); f moves no power of A.
+    for f_x, f_y in framings:
         for j in range(top, 0, -1):
-            _add_shifted(coeffs[j], coeffs[j - 1], step, -1)
-    # Q = prod (1 - z*pole) has constant term 1, so the series of the
-    # numerator P*Q mod z^count over Q reproduces every P_k with k <= top
-    # exactly when orders count..top of P*Q vanish, and the first order that
-    # does not vanish is the first one where the series would disagree.
+            into = orders[j]
+            for z, terms in orders[j - 1].items():
+                acc = into.setdefault(z, {})
+                for (x, y), c in terms.items():
+                    key = (x + f_x, y + f_y)
+                    diff = acc.get(key, 0) - c
+                    if diff:
+                        acc[key] = diff
+                    else:
+                        del acc[key]  # c != 0, so the key was there
+                if not acc:
+                    del into[z]
+    # Q = prod (1 - z*f) has constant term 1, so for U = sum_k T_k z^k the
+    # series of the numerator U*Q mod z^count over Q reproduces every T_k
+    # with k <= top exactly when orders count..top of U*Q vanish, and the
+    # first order that does not vanish is the first where it would disagree.
     for k in range(count, top + 1):
-        if coeffs[k]:
+        if orders[k]:
             raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
     return GeneratingFunction(
         n=n,
         r=r,
-        numerator=tuple((j, box.unpack(c)) for j, c in enumerate(coeffs[:count]) if c),
-        poles=tuple(sorted(poles)),
+        numerator=tuple(
+            (j, _substitute(order, tuple(c + j * v for c, v in zip(contents[0], nu))))
+            for j, order in enumerate(orders[:count])
+            if order
+        ),
+        poles=tuple(sorted(
+            monomial_div(MACD_TO_KNOT.image((f_x, f_y, 0))[1], nu) for f_x, f_y in framings
+        )),
     )
 
 

@@ -248,3 +248,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("P(2,3) = ")
+
+
+def test_code_version_reads_the_sources_once(monkeypatch):
+    first = cli._code_version()
+
+    def refuse(path):
+        raise AssertionError(f"read {path} again")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    cli.cached_compute(2, 3)
+    assert cli._code_version() == first

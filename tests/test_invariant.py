@@ -1,6 +1,5 @@
 """End-to-end invariants: exact values, flags, specializations, families."""
 
-import dataclasses
 import json
 import math
 import re
@@ -14,6 +13,7 @@ from torus_super import invariant
 from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_product
 from torus_super.invariant import (
     _cone_step,
+    _content,
     _family_core,
     _multiply_back,
     _numerators,
@@ -509,21 +509,26 @@ def test_generating_function_series_matches_direct(n, r):
 
 
 def _with_changed_order(monkeypatch, n, r, order, change):
-    """Make the fit's compute(n, n*order + r) return change(result), and
-    undo any earlier change."""
+    """Make the fit's certified slices of P(n, n*order + r) change(slices),
+    and undo any earlier change."""
     monkeypatch.undo()
-    real = invariant._compute
+    real = invariant._certified
 
     def changed(n_, m):
-        result = real(n_, m)
-        return change(result) if (n_, m) == (n, n * order + r) else result
+        total = real(n_, m)
+        return change(total) if (n_, m) == (n, n * order + r) else total
 
-    monkeypatch.setattr(invariant, "_compute", changed)
+    monkeypatch.setattr(invariant, "_certified", changed)
 
 
-def _bump_one_coefficient(result):
-    e, c = result.terms.sorted_terms()[len(result.terms.terms) // 2]
-    return dataclasses.replace(result, terms=result.terms + knot({e: 1}))
+def _bump_one_coefficient(total):
+    """T with the coefficient of q^x t^(y+1) A^z raised from 0 to 1, (x, y)
+    the last key of T's lowest A-slice: its content and lowest term stay."""
+    z = min(total)
+    x, y = max(total[z])
+    changed = {z_: dict(terms) for z_, terms in total.items()}
+    changed[z][x, y + 1] = 1
+    return changed
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (4, 1), (5, 1)])
@@ -542,19 +547,62 @@ def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
 
 @pytest.mark.parametrize("n,r", [(4, 1), (5, 1)])
 def test_fit_rejects_a_changed_content_or_a_nonpolynomial_order(monkeypatch, n, r):
-    def moved(result):
-        return dataclasses.replace(result, content=(0, 0, 0))
+    def moved(total):  # times q: the content rises by (0, 2, 2)
+        return {z: {(x + 1, y): c for (x, y), c in terms.items()} for z, terms in total.items()}
 
     _with_changed_order(monkeypatch, n, r, 2, moved)
     with pytest.raises(CalibrationError, match="content ratio not constant"):
         generating_function(n, r)
 
-    def lost(result):
-        return NonPolynomial(n=result.n, m=result.m, gcd=1)
+    def lost(total):
+        return NonPolynomial(n=n, m=n + r, gcd=1)
 
     _with_changed_order(monkeypatch, n, r, 1, lost)
     with pytest.raises(CalibrationError, match=re.escape(f"({n},{n + r}) is not polynomial")):
         generating_function(n, r)
+
+
+def test_content_reads_the_lowest_term_at_its_preimage():
+    # q^x t^y A^z is bold (2z, 2(x + y), 2x + z) with sign (-1)^z.
+    assert _content(2, 3, {0: {(0, 0): 1, (1, 1): 1}, 1: {(0, 1): -1}}) == (0, 0, 0)
+    assert _content(2, 3, {1: {(0, 0): -1}, 3: {(2, 0): -5}}) == (2, 0, 1)
+    cases = [
+        ({0: {(0, 0): 2}}, "lowest term is 2"),
+        ({1: {(0, 0): 1}}, "lowest term is -1"),
+        # The lowest t, 1, is odd at z = 0: no term of T maps to the content.
+        ({0: {(1, 0): 1}, 1: {(0, 5): -1}}, "lowest term is 0, expected +1; content (0, 2, 1)"),
+        ({}, "invariant vanished identically"),
+    ]
+    for total, message in cases:
+        with pytest.raises(IntegrityError, match=re.escape(f"(2,3): {message}")):
+            _content(2, 3, total)
+
+
+def _scaled(factor):
+    def scale(total):
+        return {z: {e: factor * c for e, c in terms.items()} for z, terms in total.items()}
+
+    return scale
+
+
+@pytest.mark.parametrize("change,message", [
+    (_scaled(2), "lowest term is 2, expected +1"),
+    (_scaled(-1), "lowest term is -1, expected +1"),
+    (lambda total: {}, "invariant vanished identically"),
+], ids=["doubled", "negated", "vanished"])
+def test_integrity_checks_reach_compute_and_generating_function(monkeypatch, change, message):
+    real = invariant._certified
+    monkeypatch.setattr(invariant, "_certified", lambda n, m: change(real(n, m)))
+    with pytest.raises(IntegrityError, match=re.escape(f"(3,4): {message}")):
+        compute.__wrapped__(3, 4)  # past the memo
+    with pytest.raises(IntegrityError, match=re.escape(f"(3,1): {message}")):
+        generating_function(3, 1)
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4)])
+def test_generating_function_json_matches_fixture_bytes(n, r):
+    stored = (FIXTURES / f"f_{n}_{r}.json").read_bytes()
+    assert (generating_function_to_json(generating_function(n, r)) + "\n").encode() == stored
 
 
 def _naive_series(gf, k_max):
