@@ -227,11 +227,6 @@ class LaurentPolynomial:
             }
         return out
 
-    def divide_content(self) -> tuple[Monomial, "LaurentPolynomial"]:
-        """Split off the monomial content: returns ``(content, self / content)``."""
-        c = self.content()
-        return c, self.shifted(monomial_inverse(c))
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, sub: "SubstitutionMap") -> "LaurentPolynomial":

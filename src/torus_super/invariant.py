@@ -23,15 +23,11 @@ T and that witness are substituted into (a, q, t), by
 q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z), and T is normalized
 by its monomial content so the lowest term is +1.
 
-A winding family P(n, nk + r) has one pole per distinct framing of the
-partitions of n, since summands with the same framing merge into one
-geometric term.  Its generating function is therefore fit from the
-certified slices T of compute() alone: the numerator is the product of the
-1 - z*f over the distinct Macdonald framings f times the first orders, one
-per pole, and orders p..top of that product must vanish, which certifies
-the series against the direct computations up to order top >= p.  Only the
-finished numerator orders are substituted into (a, q, t), and the series
-runs on their (a, q, t) terms.
+A winding family P(n, nk + r) is sum_Y n_Y * f_Y^k / D_Y, f_Y the
+Macdonald framing of Y, so over prod (1 - z*f), f the distinct framings, each
+order of its numerator is again a sum over the same D_Y.  compute()'s series
+sum and multiply-back check certify each order, and only the finished orders
+are substituted into (a, q, t); the series runs on their (a, q, t) terms.
 """
 
 from __future__ import annotations
@@ -97,7 +93,7 @@ class IntegrityError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """A generating-function normalization could not be established."""
+    """A generating function could not be certified or normalized."""
 
 
 @dataclass(frozen=True)
@@ -637,77 +633,81 @@ def _check_family(n: int, r: int) -> None:
 
 
 def generating_function(n: int, r: int) -> GeneratingFunction:
-    """Closed form for the winding family m = nk + r, fit from the certified
-    orders of compute().
+    """Closed form for the winding family m = nk + r, certified by the
+    multiply-back check that compute() runs.
 
-    P_k = P(n, nk + r) = sum_Y c_Y * f_Y^k, so summands whose framings f_Y
-    coincide merge into one geometric term: there is one pole per distinct
-    framing, p of them.  The certified Macdonald slices T_k of P_k are
-    computed for k <= K = max(p, 3), outside compute()'s memo.  The
-    per-step content ratio nu must be the same for every k < K
-    (CalibrationError otherwise).  One recurrence on the slices fits and
-    certifies: it multiplies sum_{k<=K} T_k z^k by prod (1 - z*f) over the
-    distinct Macdonald framings f = q^(t_q) t^(t_t + n), mod z^(K+1).
-    Orders below p are the numerator, and orders p..K of the product must
-    vanish, which holds exactly when the series reproduces every P_k with
-    k <= K.  Otherwise a CalibrationError names the first order that does
-    not.  The bold map is an injective ring homomorphism and content_k is
-    content_0 + k * nu, so only the finished numerator order j is
-    substituted into (a, q, t), divided by x^(content_0 + j * nu), and each
-    pole is the bold image of its f divided by x^nu.
+    Summand Y of P_k = P(n, nk + r) is n_Y * f_Y^k / D_Y, n_Y that of P_0 and
+    f_Y = q^(t_q) t^(t_t + n) its framing: one pole per distinct framing, p
+    of them.  Over prod (1 - z*f), numerator order j is
+    sum_Y n_Y * [z^j] prod_{g != f_Y} (1 - z*g) / D_Y.  Order 0 is T_0, and
+    each order 1..p-1 is certified on its own; a witness is a
+    CalibrationError naming z^j.  The series is then exact for every k.  The
+    T_k with k <= 3 must step by one content ratio nu, and series(3) must
+    reproduce them, or a CalibrationError names the first order that does
+    not.  The bold map is an injective ring homomorphism, so order j is
+    substituted divided by x^(content_0 + j * nu), and each pole is the bold
+    image of its f divided by x^nu.
     """
     _check_family(n, r)
-    framings = {(part.framing[0], part.framing[1] + n) for part in _family_core(n).parts}
-    count = len(framings)
-    top = max(count, 3)
-    contents, orders = [], []
-    for k in range(top + 1):
+    core = _family_core(n)
+    summand_framings = [(part.framing[0], part.framing[1] + n) for part in core.parts]
+    framings = set(summand_framings)
+    contents, known = [], []
+    for k in range(4):
         total = _certified(n, n * k + r)
         if isinstance(total, NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
         contents.append(_content(n, n * k + r, total))
-        orders.append(total)
-
-    steps = {monomial_div(contents[k + 1], contents[k]) for k in range(top)}
+        known.append(_substitute(total, contents[k]))
+    steps = {monomial_div(contents[k + 1], contents[k]) for k in range(3)}
     if len(steps) != 1:
-        raise CalibrationError(f"content ratio not constant over k = 0..{top}: {steps}")
+        raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
     nu = steps.pop()
 
-    # One downward pass per framing multiplies by 1 - z*f,
-    # c_j -= f * c_{j-1}, mod z^(top + 1); f moves no power of A.
-    for f_x, f_y in framings:
-        for j in range(top, 0, -1):
-            into = orders[j]
-            for z, terms in orders[j - 1].items():
-                acc = into.setdefault(z, {})
-                for (x, y), c in terms.items():
-                    key = (x + f_x, y + f_y)
-                    diff = acc.get(key, 0) - c
-                    if diff:
-                        acc[key] = diff
-                    else:
-                        del acc[key]  # c != 0, so the key was there
-                if not acc:
-                    del into[z]
-    # Q = prod (1 - z*f) has constant term 1, so for U = sum_k T_k z^k the
-    # series of the numerator U*Q mod z^count over Q reproduces every T_k
-    # with k <= top exactly when orders count..top of U*Q vanish, and the
-    # first order that does not vanish is the first where it would disagree.
-    for k in range(count, top + 1):
-        if orders[k]:
-            raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
-    return GeneratingFunction(
+    # [z^j] prod_{g != f} (1 - z*g) per framing f, by a downward pass per g.
+    cofactors = {}
+    for f in framings:
+        orders = [LaurentPolynomial.one(MACD)]
+        for g_x, g_y in framings - {f}:
+            orders.append(LaurentPolynomial.zero(MACD))
+            for j in range(len(orders) - 1, 0, -1):
+                orders[j] = orders[j] - orders[j - 1].shifted((g_x, g_y, 0))
+        cofactors[f] = orders
+    first = _numerators(KnotRequest(n, r))
+    numerator = [(0, known[0])]
+    for j in range(1, len(framings)):
+        numerators = []
+        for f, num in zip(summand_framings, first):
+            slices: _Slices = {}
+            for z, terms in num.items():
+                acc: dict[tuple[int, int], int] = {}
+                for (g_x, g_y, _), g in cofactors[f][j].terms.items():
+                    for (x, y), c in terms.items():
+                        acc[x + g_x, y + g_y] = acc.get((x + g_x, y + g_y), 0) + g * c
+                slices[z] = {e: c for e, c in acc.items() if c}
+            numerators.append(slices)
+        total = _series_sum(core, numerators, _series_bound(core, numerators))
+        witness = _multiply_back(core, total, numerators)
+        if witness is not None:
+            raise CalibrationError(
+                f"numerator order z^{j} failed the multiply-back check: T*D - N has "
+                f"lowest term {witness[1]} at (a, q, t) = {witness[0]}"
+            )
+        if total:
+            content = tuple(c + j * v for c, v in zip(contents[0], nu))
+            numerator.append((j, _substitute(total, content)))
+    gf = GeneratingFunction(
         n=n,
         r=r,
-        numerator=tuple(
-            (j, _substitute(order, tuple(c + j * v for c, v in zip(contents[0], nu))))
-            for j, order in enumerate(orders[:count])
-            if order
-        ),
+        numerator=tuple(numerator),
         poles=tuple(sorted(
             monomial_div(MACD_TO_KNOT.image((f_x, f_y, 0))[1], nu) for f_x, f_y in framings
         )),
     )
+    for k, (got, want) in enumerate(zip(gf.series(3), known)):
+        if got != want:
+            raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
+    return gf
 
 
 # -- scanning ------------------------------------------------------------------

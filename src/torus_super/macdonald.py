@@ -100,19 +100,15 @@ def cauchy_norm(y: Partition) -> FactoredRational:
     return FactoredRational(MACD, coeff=1, factors=factors)
 
 
-def power_sum_coefficient(y: Partition, n: int | None = None) -> FactoredRational:
-    """Coefficient of ``M_y`` in the expansion of the power sum ``p_n``.
+def power_sum_coefficient(y: Partition) -> FactoredRational:
+    """Coefficient of ``M_y`` in the expansion of the power sum ``p_n``, n = |y|.
 
     Closed form: ``(1 - q^n) * t^(sum(conj_i^2 - y_i)/2) * prod over cells
     except the corner of (1 - t^(1-i) q^(j-1)) / prod over all cells of
     (1 - t^leg q^(arm+1))``.
     """
     y = check_partition(y)
-    if n is None:
-        n = size(y)
-    if n != size(y):
-        raise ValueError(f"partition {y} does not index the degree-{n} expansion")
-    factors: list[tuple[Monomial, int]] = [((n, 0, 0), 1)]
+    factors: list[tuple[Monomial, int]] = [((size(y), 0, 0), 1)]
     for i, j, arm_len, leg_len in cell_data(y):
         if (i, j) != (1, 1):
             factors.append(((j - 1, 1 - i, 0), 1))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torus_super import invariant
+from torus_super import cli, invariant
 from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_product
 from torus_super.invariant import (
     _cone_step,
@@ -498,18 +498,18 @@ def test_generating_function_three_strand_poles():
     assert set(generating_function(3, 2).poles) == {(0, 0, 0), (0, 6, 4), (0, 12, 6)}
 
 
-@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 1)])
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4), (6, 1)])
 def test_generating_function_series_matches_direct(n, r):
-    # The fit uses k < p, p the number of distinct framings (9 of the 11
-    # partitions of 6), and its own check stops at max(p, 3); the series
-    # must not drift from direct computation past that.
+    # The certified numerator makes the series exact for every k, but
+    # generating_function checks the content ratio and compares the series
+    # with compute only for k <= 3; past that, normalization must not drift.
     series = generating_function(n, r).series(8)
     for k in range(9):
         assert series[k] == compute(n, n * k + r).terms
 
 
 def _with_changed_order(monkeypatch, n, r, order, change):
-    """Make the fit's certified slices of P(n, n*order + r) change(slices),
+    """Make generating_function's certified slices of P(n, n*order + r) change(slices),
     and undo any earlier change."""
     monkeypatch.undo()
     real = invariant._certified
@@ -533,16 +533,53 @@ def _bump_one_coefficient(total):
 
 @pytest.mark.parametrize("n,r", [(2, 1), (4, 1), (5, 1)])
 def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
-    # Orders p..top of P * prod (1 - z*pole) must vanish.  A changed order
-    # k >= p is the first that does not; a changed order below p goes into
-    # the numerator, and order p is then the first that does not.
-    p = len(generating_function(n, r).poles)
-    top = max(p, 3)
-    for order, named in ((0, p), (p, p), (top, top)):
+    # series(3) must reproduce compute(n, nk + r) for k <= 3.  A changed
+    # T_k with k >= 1 is the first order that does not; a changed T_0 is
+    # numerator order 0 itself, so the series keeps it and z^1 disagrees.
+    for order, named in ((0, 1), (1, 1), (2, 2), (3, 3)):
         _with_changed_order(monkeypatch, n, r, order, _bump_one_coefficient)
         message = f"series order z^{named} disagrees with compute({n},{n * named + r})"
         with pytest.raises(CalibrationError, match=re.escape(message)):
             generating_function(n, r)
+
+
+def _bump_numerator_order(monkeypatch, n, r, order):
+    """Serve T_0..T_3 of the family from a memo, so each series sum left is
+    a numerator order's, 1..p-1 in turn, and bump order `order` as
+    _bump_one_coefficient does.  The witness is then the bumped term times
+    the constant term 1 of D: the returned list receives its bold image."""
+    certified = {n * k + r: invariant._certified(n, n * k + r) for k in range(4)}
+    monkeypatch.setattr(invariant, "_certified", lambda n_, m: certified[m])
+    real = invariant._series_sum
+    calls, witness = [], []
+
+    def bumped(core, numerators, hi):
+        calls.append(hi)
+        total = real(core, numerators, hi)
+        if len(calls) != order:
+            return total
+        z = min(total)
+        x, y = max(total[z])
+        image = (2 * z, 2 * (x + y + 1), 2 * x + z)
+        witness.append(f"lowest term {(-1) ** z} at (a, q, t) = {image}")
+        return _bump_one_coefficient(total)
+
+    monkeypatch.setattr(invariant, "_series_sum", bumped)
+    return witness
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (5, 1)])
+def test_numerator_orders_face_the_multiply_back_check(monkeypatch, capsys, n, r):
+    p = len(generating_function(n, r).poles)
+    for order in sorted({1, p - 1}):
+        witness = _bump_numerator_order(monkeypatch, n, r, order)
+        message = f"numerator order z^{order} failed the multiply-back check"
+        with pytest.raises(CalibrationError, match=re.escape(message)) as err:
+            generating_function(n, r)
+        assert str(err.value).endswith(f"has {witness[0]}")
+    _bump_numerator_order(monkeypatch, n, r, p - 1)
+    assert cli.main(["genfun", str(n), str(r)]) == cli.EXIT_CALIBRATION == 4
+    assert f"calibration failed: numerator order z^{p - 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,r", [(4, 1), (5, 1)])

@@ -130,8 +130,3 @@ def test_power_sum_coefficient_column_of_two():
     lhs_num = poly({(0, 0, 0): -1, (1, 0, 0): -1, (0, 1, 0): 1, (1, 1, 0): 1})
     lhs_den = poly({(0, 0, 0): 1, (1, 1, 0): -1})
     assert num * lhs_den == lhs_num * den
-
-
-def test_power_sum_coefficient_degree_mismatch_rejected():
-    with pytest.raises(ValueError):
-        power_sum_coefficient((2, 1), 2)
