@@ -251,8 +251,13 @@ def cmd_verify_oracle(args: argparse.Namespace) -> int:
         )
     failures = 0
     for label, check in checks:
-        ok = check()
-        print(("ok " if ok else "FAIL ") + label)
+        try:
+            ok = check()
+        except (ArithmeticError, AssertionError) as err:  # a gcd cap or a failed invariant
+            print(f"FAIL {label}: {err}")
+            ok = False
+        else:
+            print(("ok " if ok else "FAIL ") + label)
         failures += 0 if ok else 1
     return EXIT_MISMATCH if failures else EXIT_OK
 

@@ -149,6 +149,24 @@ def test_verify_oracle_small(capsys):
     assert all(line.startswith("ok ") for line in lines)
 
 
+def test_verify_oracle_names_a_raising_check(monkeypatch, capsys):
+    from torus_super import oracle
+
+    def capped(n):
+        raise ArithmeticError("heuristic gcd: no certified gcd within 16 evaluation points")
+
+    monkeypatch.setattr(oracle, "verify_orthogonality", capped)
+    code, out, err = run(capsys, "verify", "oracle", "--max-size", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == (
+        "FAIL orthogonality degree 1: heuristic gcd: no certified gcd within 16 evaluation points"
+    )
+    assert sum(line.startswith("FAIL ") for line in lines) == 2
+    assert "ok power-sum expansion degree 1" in lines
+    assert "Traceback" not in err
+
+
 def test_genfun_json(capsys):
     code, out, _ = run(capsys, "genfun", "2", "1")
     assert code == 0

@@ -11,7 +11,6 @@ import pytest
 from torus_super import oracle
 from torus_super.algebra import LaurentPolynomial, exact_divide
 from torus_super.oracle import (
-    PRIME_61,
     QT,
     RationalFunction,
     _gcd_terms,
@@ -75,6 +74,14 @@ def test_row_of_two_mixing_coefficient():
     assert expansion[(1, 1)] == expected
 
 
+def test_canonical_parts_are_pinned():
+    # The stored num and den themselves, not just the value: any gcd must
+    # leave exactly these canonical parts.
+    c = macdonald_P_mbasis((2, 1))[(1, 1, 1)]
+    assert c.num == qt({(0, 0): -2, (0, 1): 1, (0, 2): 1, (1, 0): -1, (1, 1): -1, (1, 2): 2})
+    assert c.den == qt({(0, 0): -1, (1, 2): 1})
+
+
 def test_expanded_polynomials_are_symmetric():
     for y in [(2,), (2, 1), (2, 2)]:
         nx = 3
@@ -133,7 +140,7 @@ def test_cauchy_kernel_capped():
         verify_cauchy(4, 4, 4)
 
 
-# -- the modular bivariate gcd -------------------------------------------------
+# -- the heuristic bivariate gcd ----------------------------------------------
 
 ONE = LaurentPolynomial.one(QT)
 
@@ -153,6 +160,10 @@ def _random_qt(rng, max_terms, fractions):
 def _same_up_to_unit(a, b):
     """a and b divide each other: equal up to a scalar and a monomial."""
     return exact_divide(a, b).term_count == 1 and exact_divide(b, a).term_count == 1
+
+
+# Coprime, but their images at the first evaluation point t = 32 agree.
+UNLUCKY = (qt({(1, 0): 1, (0, 1): -1}), qt({(1, 0): 1, (0, 0): -32}))
 
 
 def _seeded_triples(seed, count):
@@ -191,36 +202,57 @@ def test_gcd_of_coprime_and_constant_inputs_is_one():
         assert _gcd_terms(f, h) == (ONE, f, h)
 
 
-def _at_t_one(p):
-    return qt([((eq, 0), c) for (eq, _), c in p.terms.items()])
-
-
 def test_gcd_past_an_unlucky_evaluation_point(monkeypatch):
-    # At t = 1 both (q - 1)(t + 1)/2 and q t - 1 become multiples of q - 1,
-    # though they are coprime; t = 0 is skipped, as q t - 1 loses its q term.
+    # For q - t against q - 32 the first point is t = 32, where both images
+    # are q - 32: their gcd reads back as q - t, which does not divide q - 32,
+    # and no cofactor candidate certifies, so only the next point proves 1.
+    f, h = UNLUCKY
+    assert next(oracle._points(1, 2)) == 32
+    assert _gcd_terms(f, h) == (ONE, f, h)
+    # (q - 1)(t + 1)/2 and q t - 1 are coprime, and the constant reading of
+    # their first images proves it before any candidate reaches the certificate.
     f = qt({(1, 1): Fraction(1, 2), (1, 0): Fraction(1, 2),
             (0, 1): Fraction(-1, 2), (0, 0): Fraction(-1, 2)})
     h = qt({(1, 1): 1, (0, 0): -1})
-    assert _at_t_one(f) == _at_t_one(h) == qt({(1, 0): 1, (0, 0): -1})
-    assert _gcd_terms(f, h)[0] == ONE
-    # With a common factor the t = 1 image has one degree too many.
-    g = qt({(0, 0): 1, (1, 2): 3, (2, 0): -1})
-    c, qf, qh = _gcd_terms(g * f, g * h)
-    assert _same_up_to_unit(c, g)
-    assert qf * c == g * f and qh * c == g * h
-    # q - t and q - t - 3t(t - 1) meet at t = 0 and t = 1, the two points the
-    # degree bound asks for, and those images interpolate to q - t itself:
-    # only a further point shows that the gcd is 1, before any candidate
-    # reaches the certificate.
-    f = qt({(1, 0): 1, (0, 1): -1})
-    h = qt({(1, 0): 1, (0, 1): 2, (0, 2): -3})
     certified = []
-    monkeypatch.setattr(oracle, "exact_divide", lambda *args: certified.append(args))
+    monkeypatch.setattr(oracle, "_quo", lambda *args: certified.append(args))
     assert _gcd_terms(f, h)[0] == ONE
     assert not certified
 
 
-# A primitive gcd with coefficients beyond one 61-bit prime, and two cofactors.
+def test_gcd_of_a_common_factor_in_t_only():
+    g = qt({(0, 0): 1, (0, 2): -1})
+    a = qt({(0, 0): 1, (1, 0): 1, (2, 3): -2})
+    b = qt({(0, 0): 3, (1, 1): -1, (0, 1): 1})
+    c, qa, qb = _gcd_terms(g * a, g * b)
+    assert c == g or c == -g
+    assert qa * c == g * a and qb * c == g * b
+
+
+def test_gcd_certified_only_by_a_cofactor_candidate(monkeypatch):
+    # f = (1 - q^2)(1 + q t)^2 and g = (1 + q)(1 + q t)^2 = gcd(f, g).  At
+    # the first q point the gcd image of f(q, xi) and g(q, xi) reads back
+    # as a non-divisor, and f's cofactor, 1 - q, is what certifies; with one
+    # point allowed, dropping the cofactor candidates would raise.
+    g = qt({(0, 0): 1, (1, 0): 1}) * qt({(0, 0): 1, (1, 1): 1}) * qt({(0, 0): 1, (1, 1): 1})
+    f = qt({(0, 0): 1, (1, 0): -1}) * g
+    monkeypatch.setattr(oracle, "_MAX_POINTS", 1)
+    c, qf, qg = _gcd_terms(f, g)
+    assert c == g or c == -g
+    assert qf * c == f and qg * c == g
+
+
+def test_gcd_evaluation_point_must_exceed_the_bound(monkeypatch):
+    # q - 3 divides q^2 - 2q - 3 = (q - 3)(q + 1).  At q = 4, below the
+    # bound 2 * 3 + 2, the images are 1 and 5, whose gcd reads back as 1.
+    f = qt({(1, 0): 1, (0, 0): -3})
+    g = qt({(2, 0): 1, (1, 0): -2, (0, 0): -3})
+    assert _gcd_terms(f, g)[0] in (f, -f)
+    monkeypatch.setattr(oracle, "_points", lambda norm, nvars: iter([4]))
+    assert _gcd_terms(f, g)[0] == ONE
+
+
+# A primitive gcd with coefficients beyond 2**61 - 1, and two cofactors.
 BIG_G = qt({(2, 1): 3**45, (1, 0): -(2**64 + 13), (0, 2): 5**30, (0, 0): 1})
 BIG_A = qt({(1, 1): 1, (0, 0): 2})
 BIG_B = qt({(0, 2): 1, (1, 0): -3, (0, 0): 1})
@@ -228,17 +260,17 @@ BIG_B = qt({(0, 2): 1, (1, 0): -3, (0, 0): 1})
 
 def test_gcd_with_coefficients_beyond_one_prime():
     g, a, b = BIG_G, BIG_A, BIG_B
-    assert max(abs(v) for v in g.terms.values()) > PRIME_61
+    assert max(abs(v) for v in g.terms.values()) > 2**61 - 1
     c, qa, qb = _gcd_terms(g * a, g * b)
-    assert c == g or c == -g  # g is primitive: the lift is g itself
+    assert c == g or c == -g  # g is primitive, so c is g up to sign
     assert qa * c == g * a and qb * c == g * b
 
 
-def test_gcd_prime_cap_names_its_cause(monkeypatch):
-    g, a, b = BIG_G, BIG_A, BIG_B
-    monkeypatch.setattr(oracle, "_MAX_PRIMES", 1)
-    with pytest.raises(ArithmeticError, match="within 1 primes"):
-        _gcd_terms(g * a, g * b)
+def test_gcd_point_cap_names_its_cause(monkeypatch):
+    f, h = UNLUCKY  # needs a second point
+    monkeypatch.setattr(oracle, "_MAX_POINTS", 1)
+    with pytest.raises(ArithmeticError, match="no certified gcd within 1 evaluation points"):
+        _gcd_terms(f, h)
 
 
 def test_reduce_fraction_gives_coprime_parts_of_the_same_fraction():
