@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Alphabet = tuple[str, ...]
 Monomial = tuple[int, ...]

@@ -523,18 +523,22 @@ def _certified(n: int, m: int) -> Union[_Slices, NonPolynomial]:
     """T as Macdonald slices once the multiply-back certificate holds,
     otherwise NonPolynomial; nothing is memoized."""
     req = KnotRequest(n, m)
-    core = _family_core(n)
-    numerators = _numerators(req)
+    total, failure = _checked_sum(_family_core(n), _numerators(req))
+    if failure is None:
+        return total
+    return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=f"multiply-back check failed: {failure}")
+
+
+def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices, str | None]:
+    """T, the series sum of the n_Y / D_Y truncated at their bound, and
+    None if the multiply-back check holds, otherwise the text naming the
+    lowest term of T * D - N."""
     total = _series_sum(core, numerators, _series_bound(core, numerators))
     witness = _multiply_back(core, total, numerators)
     if witness is None:
-        return total
+        return total, None
     exps, diff = witness
-    reason = (
-        f"multiply-back check failed: T*D - N has lowest term {diff} "
-        f"at (a, q, t) = {exps}"
-    )
-    return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=reason)
+    return total, f"T*D - N has lowest term {diff} at (a, q, t) = {exps}"
 
 
 def _content(n: int, m: int, total: _Slices) -> Monomial:
@@ -664,34 +668,33 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
     nu = steps.pop()
 
-    # [z^j] prod_{g != f} (1 - z*g) per framing f, by a downward pass per g.
-    cofactors = {}
-    for f in framings:
-        orders = [LaurentPolynomial.one(MACD)]
-        for g_x, g_y in framings - {f}:
-            orders.append(LaurentPolynomial.zero(MACD))
-            for j in range(len(orders) - 1, 0, -1):
-                orders[j] = orders[j] - orders[j - 1].shifted((g_x, g_y, 0))
-        cofactors[f] = orders
+    # The orders e_j of E(z) = prod_f (1 - z*f), by a downward pass per f.
+    # The cofactor [z^j] prod_{g != f} (1 - z*g) of framing f is then
+    # c_j(f) = f * c_(j-1)(f) + e_j with c_0(f) = 1, one order at a time.
+    elementary = [LaurentPolynomial.one(MACD)]
+    for f_x, f_y in framings:
+        elementary.append(LaurentPolynomial.zero(MACD))
+        for j in range(len(elementary) - 1, 0, -1):
+            elementary[j] = elementary[j] - elementary[j - 1].shifted((f_x, f_y, 0))
+    cofactors = dict.fromkeys(framings, elementary[0])
     first = _numerators(KnotRequest(n, r))
     numerator = [(0, known[0])]
     for j in range(1, len(framings)):
+        cofactors = {f: c.shifted((*f, 0)) + elementary[j] for f, c in cofactors.items()}
         numerators = []
         for f, num in zip(summand_framings, first):
             slices: _Slices = {}
             for z, terms in num.items():
                 acc: dict[tuple[int, int], int] = {}
-                for (g_x, g_y, _), g in cofactors[f][j].terms.items():
+                for (g_x, g_y, _), g in cofactors[f].terms.items():
                     for (x, y), c in terms.items():
                         acc[x + g_x, y + g_y] = acc.get((x + g_x, y + g_y), 0) + g * c
                 slices[z] = {e: c for e, c in acc.items() if c}
             numerators.append(slices)
-        total = _series_sum(core, numerators, _series_bound(core, numerators))
-        witness = _multiply_back(core, total, numerators)
-        if witness is not None:
+        total, failure = _checked_sum(core, numerators)
+        if failure is not None:
             raise CalibrationError(
-                f"numerator order z^{j} failed the multiply-back check: T*D - N has "
-                f"lowest term {witness[1]} at (a, q, t) = {witness[0]}"
+                f"numerator order z^{j} failed the multiply-back check: {failure}"
             )
         if total:
             content = tuple(c + j * v for c, v in zip(contents[0], nu))

@@ -28,7 +28,7 @@ from .algebra import (
     Monomial,
     SubstitutionMap,
     as_coeff,
-    monomial_inverse,
+    monomial_div,
     monomial_mul,
     unit_monomial,
 )
@@ -203,13 +203,14 @@ def _gcd_terms(
 ) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
     """Gcd of two nonzero (q, t) Laurent polynomials, and the cofactors.
 
-    Returns ``(c, f / c, g / c)``: ``c`` is an integer primitive polynomial
-    equal to the gcd up to a rational scalar and a monomial, and the
-    quotients are those of its certificate.
+    Returns ``(c, f / c, g / c)`` with exact quotients: ``(f, 1, 1)`` if
+    ``f == g`` and ``(1, f, g)`` if either is a monomial, a unit; otherwise
+    ``c`` is an integer primitive polynomial equal to the gcd up to a
+    rational scalar and a monomial, with the quotients of its certificate.
 
     Algorithm (:func:`_heu_gcd`).  ``f`` and ``g`` are cleared of monomial
-    content, denominators and integer content to F and G in Z[q, t]; the gcd
-    is 1 if either is then 1.  At each point xi of :func:`_points`, at least
+    content, denominators and integer content to F and G in Z[q, t]
+    (:func:`_cleared`).  At each point xi of :func:`_points`, at least
     ``2 * min(|F|, |G|) + 2`` for the max-norm ``|.|``, t is set to xi, and
     the same steps one variable down give the gcd H of F(q, xi) and
     G(q, xi) in Z[q], with both cofactors; a point where an image is 0 is
@@ -234,64 +235,45 @@ def _gcd_terms(
     divide kappa or 1.  So w is a constant.  The step one variable down
     repeats this proof, so H is exact, as the proof needs.
     """
-    (unit_f, shift_f, fp), (unit_g, shift_g, gp) = (_cleared(p) for p in (f, g))
-    if len(fp) > 1 and len(gp) > 1:  # a cleared monomial is 1
+    if f == g:
+        return f, LaurentPolynomial.one(QT), LaurentPolynomial.one(QT)
+    if f.term_count > 1 and g.term_count > 1:  # a monomial is a unit
+        (unit_f, shift_f, fp), (unit_g, shift_g, gp) = (_cleared(p) for p in (f, g))
         h, u, v = _heu_gcd(fp, gp)
         if len(h) > 1:
             return _lifted(h), _lifted(u, unit_f, shift_f), _lifted(v, unit_g, shift_g)
     return LaurentPolynomial.one(QT), f, g
 
 
-def _cancel(
-    f: LaurentPolynomial, g: LaurentPolynomial
-) -> tuple[LaurentPolynomial, LaurentPolynomial, LaurentPolynomial]:
-    """``_gcd_terms`` of two nonzero (q, t) polynomials, skipping the obvious cases."""
-    if f == g:
-        return f, LaurentPolynomial.one(QT), LaurentPolynomial.one(QT)
-    if f.term_count == 1 or g.term_count == 1:  # a monomial is a unit
-        return LaurentPolynomial.one(QT), f, g
-    return _gcd_terms(f, g)
-
-
-def _reduce_fraction(
-    num: LaurentPolynomial, den: LaurentPolynomial
+def _canonical(
+    num: LaurentPolynomial, den: LaurentPolynomial, coprime: bool = False
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Lowest terms of a (q, t) fraction: the cofactors of its certified gcd."""
-    _, num, den = _cancel(num, den)
-    return num, den
+    """Canonical ``(num, den)`` of a (q, t) fraction, put in lowest terms
+    unless ``coprime`` says it is.
 
-
-def _rescaled(p: LaurentPolynomial, shift: Monomial, scale: int, common: int) -> LaurentPolynomial:
-    """``p * x^shift * scale / common``, all of whose coefficients are integers."""
-    out = LaurentPolynomial.zero(p.alphabet)
-    out.terms = {
-        monomial_mul(e, shift): c.numerator // common * (scale // c.denominator)
-        for e, c in p.terms.items()
-    }
-    return out
-
-
-def _normalize(
-    num: LaurentPolynomial, den: LaurentPolynomial
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """``num / den`` times the unit that puts it in canonical form.
-
-    Both parts get integer coefficients whose joint gcd is 1, ``den`` has
-    no monomial content (a monomial denominator becomes a constant), and
-    the leading coefficient of ``den`` in lex order is positive.
+    One clearing (:func:`_cleared`) gives ``num = u * x^s * N`` and
+    ``den = v * x^r * D``, N and D primitive with no monomial content;
+    unless ``coprime``, their gcd's cofactors (:func:`_heu_gcd`) replace
+    them.  The result is ``a * x^(s - r) * N / (b * D)`` for
+    ``a / b = +-u / v`` in lowest terms, signed so that ``b * D`` leads
+    positive in lex order.  The form is unique: lowest terms fix a fraction
+    up to a scalar and a monomial, and the joint integer content is
+    ``gcd(a, b) = 1`` because N and D are primitive.  ``coprime`` input
+    already canonical is returned as is.
     """
     if num.is_zero():
-        return num, LaurentPolynomial.one(num.alphabet)
-    coeffs = (*num.terms.values(), *den.terms.values())
-    # The content of reduced rationals a_i / b_i is gcd(a_i) / lcm(b_i).
-    scale = lcm(*(c.denominator for c in coeffs))
-    common = gcd(*(c.numerator for c in coeffs))
-    if den.terms[max(den.terms)] < 0:
-        common = -common
-    shift = monomial_inverse(den.content())
-    if scale == common == 1 and not any(shift):
-        return num, den
-    return _rescaled(num, shift, scale, common), _rescaled(den, shift, scale, common)
+        return num, LaurentPolynomial.one(QT)
+    if coprime and den.terms[max(den.terms)] > 0 and not any(den.content()):
+        coeffs = (*num.terms.values(), *den.terms.values())
+        if lcm(*(c.denominator for c in coeffs)) == 1 == gcd(*(c.numerator for c in coeffs)):
+            return num, den
+    (u, s, n), (v, r, d) = _cleared(num), _cleared(den)
+    if not coprime and len(n) > 1 and len(d) > 1:
+        _, n, d = _heu_gcd(n, d)
+    a, b = (Fraction(u) / v).as_integer_ratio()
+    if d[max(d)] < 0:
+        a, b = -a, -b
+    return _lifted(n, a, monomial_div(s, r)), _lifted(d, b)
 
 
 _SCALARS = (int, Fraction)
@@ -300,11 +282,11 @@ _SCALARS = (int, Fraction)
 class RationalFunction:
     """Quotient of two exact Laurent polynomials in (q, t), in lowest terms.
 
-    Canonical form: ``num`` and ``den`` have integer coefficients with no
-    common integer factor, ``den`` has no monomial content and a positive
-    leading coefficient (:func:`_normalize`).  The constructor also cancels
-    the certified bivariate gcd, so equal values have identical ``num`` and
-    ``den``.  Any alphabet other than (q, t) is a ``ValueError``.
+    Canonical form (:func:`_canonical`): ``num`` and ``den`` have integer
+    coefficients with no common integer factor, ``den`` has no monomial
+    content and a positive lex-leading coefficient.  The constructor also
+    cancels the certified bivariate gcd, so equal values have identical
+    ``num`` and ``den``.  Any alphabet other than (q, t) is a ``ValueError``.
 
     Addition and multiplication follow Henrici (Knuth, TAOCP vol. 2,
     4.5.1), valid because the units of Q[q^-1, q, t^-1, t] are scalars times
@@ -331,9 +313,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.alphabet != QT or den.alphabet != QT:
             raise ValueError(f"fractions are over {QT}, got {num.alphabet} / {den.alphabet}")
-        if not num.is_zero():
-            num, den = _reduce_fraction(num, den)
-        self.num, self.den = _normalize(num, den)
+        self.num, self.den = _canonical(num, den)
 
     # -- constructors --------------------------------------------------------
 
@@ -345,7 +325,7 @@ class RationalFunction:
     def _coprime(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
         """``num / den`` with no gcd taken, known to be in lowest terms."""
         out = cls.__new__(cls)
-        out.num, out.den = _normalize(num, den)
+        out.num, out.den = _canonical(num, den, coprime=True)
         return out
 
     def _lift(self, other: object) -> "RationalFunction":
@@ -380,7 +360,7 @@ class RationalFunction:
         if other.is_zero():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g, d1, d2 = _cancel(d1, d2)
+        g, d1, d2 = _gcd_terms(d1, d2)
         top = n1 * d2 + n2 * d1
         if g.term_count > 1 and not top.is_zero():
             _, top, g = _gcd_terms(top, g)
@@ -404,8 +384,8 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0)
-        _, n1, d2 = _cancel(self.num, other.den)
-        _, n2, d1 = _cancel(other.num, self.den)
+        _, n1, d2 = _gcd_terms(self.num, other.den)
+        _, n2, d1 = _gcd_terms(other.num, self.den)
         return RationalFunction._coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -432,20 +412,19 @@ RF_ZERO = RationalFunction.const(0)
 RF_ONE = RationalFunction.const(1)
 
 
-def _qt_of_macd(p: LaurentPolynomial) -> LaurentPolynomial:
-    """Drop the A coordinate of an (q, t, A) polynomial that never uses it."""
-    terms = {}
-    for (eq, et, ea), c in p.terms.items():
-        if ea:
-            raise ValueError("polynomial genuinely involves A")
-        terms[(eq, et)] = c
-    return LaurentPolynomial(QT, terms)
+def rational_of_factored(fr: FactoredRational, a_image: Monomial | None = None) -> RationalFunction:
+    """Expand a factored (q, t, A) rational into a RationalFunction.
 
-
-def rational_of_factored(fr) -> RationalFunction:
-    """Expand a factored (q, t)-only rational into a RationalFunction."""
+    With ``a_image = (i, j)``, A becomes ``q^i t^j``; without it, a
+    rational that involves A is a ``ValueError``.
+    """
     num, den = fr.expand()
-    return RationalFunction(_qt_of_macd(num), _qt_of_macd(den))
+    if a_image is None and any(e[2] for p in (num, den) for e in p.terms):
+        raise ValueError("polynomial genuinely involves A")
+    to_qt = SubstitutionMap(
+        MACD, QT, {"q": (1, (1, 0)), "t": (1, (0, 1)), "A": (1, a_image or (0, 0))}
+    )
+    return RationalFunction(num.substitute(to_qt), den.substitute(to_qt))
 
 
 # -- concrete symmetric polynomials over x variables ---------------------------
@@ -673,17 +652,10 @@ def principal_value(y: Partition, num_vars: int) -> RationalFunction:
     return total
 
 
-def _dimension_closed_form(y: Partition, num_vars: int) -> RationalFunction:
-    num, den = macdonald_dimension(y).expand()
-    to_qt = SubstitutionMap(
-        MACD, QT, {"q": (1, (1, 0)), "t": (1, (0, 1)), "A": (1, (0, num_vars))}
-    )
-    return RationalFunction(num.substitute(to_qt), den.substitute(to_qt))
-
-
 def verify_dimension(y: Partition, num_vars: int) -> bool:
     """Brute-force principal specialization against the hook-style closed form."""
-    return principal_value(y, num_vars) == _dimension_closed_form(y, num_vars)
+    closed = rational_of_factored(macdonald_dimension(y), a_image=(0, num_vars))
+    return principal_value(y, num_vars) == closed
 
 
 def verify_orthogonality(n: int) -> bool:
@@ -831,17 +803,11 @@ def verify_expansion_limit(y: Partition) -> bool:
     y = check_partition(y)
     n = size(y)
     dim = macdonald_dimension(y)
-    trimmed_factors = dict(dim.factors)
     corner = (0, 0, 1)  # the (1,1) cell contributes exactly 1 - A
-    if trimmed_factors.get(corner, 0) < 1:
+    if dim.factors.get(corner, 0) < 1:
         raise AssertionError("dimension lost its corner factor")
-    trimmed_factors[corner] -= 1
-    trimmed = FactoredRational(
-        MACD, coeff=dim.coeff, prefactor=dim.prefactor, factors=trimmed_factors
-    )
-    num, den = trimmed.expand()
-    drop_a = SubstitutionMap(MACD, QT, {"q": (1, (1, 0)), "t": (1, (0, 1)), "A": (1, (0, 0))})
-    limit = RationalFunction(num.substitute(drop_a), den.substitute(drop_a))
+    trimmed = dim * FactoredRational(MACD, factors={corner: -1})
+    limit = rational_of_factored(trimmed, a_image=(0, 0))  # A -> 1
 
     one_minus_qn = RationalFunction(LaurentPolynomial(QT, {(0, 0): 1, (n, 0): -1}))
     lhs = rational_of_factored(power_sum_coefficient(y))

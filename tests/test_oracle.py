@@ -10,16 +10,17 @@ import pytest
 
 from torus_super import oracle
 from torus_super.algebra import LaurentPolynomial, exact_divide
+from torus_super.macdonald import macdonald_dimension
 from torus_super.oracle import (
     QT,
     RationalFunction,
     _gcd_terms,
-    _reduce_fraction,
     macdonald_P,
     macdonald_P_mbasis,
     monomial_symmetric,
     power_sum,
     principal_value,
+    rational_of_factored,
     verify_cauchy,
     verify_dimension,
     verify_expansion_limit,
@@ -277,13 +278,36 @@ def test_reduce_fraction_gives_coprime_parts_of_the_same_fraction():
     for g, a, b in _seeded_triples(20261019, 30):
         shift = qt({(-2, 1): Fraction(3, 4)})
         num, den = g * a * shift, g * b
-        rnum, rden = _reduce_fraction(num, den)
-        assert rnum * den == num * rden
+        rf = RationalFunction(num, den)
+        assert rf.num * den == num * rf.den
         # a and b are coprime by construction, so lowest terms are a / b up to
         # a common scalar and monomial.
-        unit = exact_divide(rnum, a)
+        unit = exact_divide(rf.num, a)
         assert unit.term_count == 1
-        assert rden == exact_divide(b * unit, shift)
+        assert rf.den == exact_divide(b * unit, shift)
+        _assert_canonical(rf)
+
+
+def test_reduced_and_coprime_paths_agree():
+    # n / d with coprime n and d, each times a unit: the constructor must
+    # cancel g from n*g / d*g and land on exactly the parts that _coprime
+    # gives n / d without any gcd.
+    rng = random.Random(20261021)
+    for g, a, b in _seeded_triples(20261022, 30):
+        n, d = (p * qt({(rng.randint(-2, 2), rng.randint(-2, 2)):
+                        Fraction(rng.choice([-6, -4, -3, 2, 9]), rng.randint(1, 6))})
+                for p in (a, b))
+        reduced, coprime = RationalFunction(n * g, d * g), RationalFunction._coprime(n, d)
+        assert (reduced.num, reduced.den) == (coprime.num, coprime.den)
+        _assert_canonical(reduced)
+
+
+def test_rational_of_factored_maps_or_rejects_a():
+    dim = macdonald_dimension((1,))  # (1 - A) / (1 - t)
+    with pytest.raises(ValueError, match="involves A"):
+        rational_of_factored(dim)
+    # A -> t^3: (1 - t^3) / (1 - t) = 1 + t + t^2.
+    assert rational_of_factored(dim, a_image=(0, 3)) == principal_value((1,), 3)
 
 
 # -- RationalFunction: canonical form and lowest terms -------------------------
