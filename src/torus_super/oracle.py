@@ -29,7 +29,6 @@ from .algebra import (
     SubstitutionMap,
     as_coeff,
     monomial_div,
-    monomial_mul,
     unit_monomial,
 )
 from .macdonald import cauchy_norm, macdonald_dimension, power_sum_coefficient
@@ -297,11 +296,11 @@ class RationalFunction:
     ``gcd(n2, d1)``: the product of the cofactors is in lowest terms.  The
     gcds keep the Gram-Schmidt sizes tame: without them,
     ``torus-super verify oracle --max-size 4`` ran for over two minutes on a
-    2-core machine.  Its 42 checks take about 0.65 s there against 0.96 s
-    with a gcd of every whole sum and product (medians of 6 alternating
-    runs, Python 3.11.7; ``BENCH_18.json`` has the benchmark).  Equality
-    goes through cross multiplication.  ``int`` and ``Fraction`` operands
-    act as constants.
+    2-core machine.  Its 42 checks take about 0.20 s of CPU time there
+    against 0.30 s with a gcd of every whole sum and product (medians of 8
+    interleaved runs, Python 3.11.7; ``BENCH_20.json`` has the benchmark).
+    Equality goes through cross multiplication.  ``int`` and ``Fraction``
+    operands act as constants.
     """
 
     __slots__ = ("num", "den")
@@ -552,15 +551,15 @@ def _power_sum_weight(lam: Partition) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def inner_product_p(
-    n: int, fp: Sequence[RationalFunction], gp: Sequence[RationalFunction]
+def _pairing(
+    weighted: Sequence[RationalFunction], vec: Sequence[RationalFunction | Coeff]
 ) -> RationalFunction:
-    plist, _ = _power_to_monomial_matrix(n)
-    total = RationalFunction.const(0)
-    for lam, a, b in zip(plist, fp, gp):
-        if a.is_zero() or b.is_zero():
-            continue
-        total = total + a * b * _power_sum_weight(lam)
+    """``<f, g>`` from ``weighted = [w_lam * f[lam]]`` and ``vec = [g[lam]]``,
+    both over the p-basis; ``vec`` may hold constants."""
+    total = RF_ZERO
+    for a, b in zip(weighted, vec):
+        if a and b:
+            total = total + a * b
     return total
 
 
@@ -569,31 +568,44 @@ def inner_product_p(
 
 @lru_cache(maxsize=None)
 def _macdonald_family(n: int):
-    """All P_y of degree n: m-basis dicts, p-basis vectors, and norms.
+    """All P_y of degree n: m-basis dicts, p-basis vectors, weighted p-basis
+    vectors ``[w_lam * P_y[lam]]`` and norms.
 
     Partitions are processed along a linear extension of dominance from the
     bottom; triangularity and monicity of the outcome are asserted rather
     than assumed.
+
+    Classical Gram-Schmidt: ``P_y = m_y - sum_prev <m_y, P_prev> /
+    <P_prev, P_prev> * P_prev`` over the P already built.  Modified
+    Gram-Schmidt projects the running remainder instead of ``m_y``; in
+    exact arithmetic both give the same coefficients, because each
+    ``P_prev`` is orthogonal to every earlier P, so subtracting multiples
+    of those leaves the pairing with ``P_prev`` unchanged.  (Modified
+    Gram-Schmidt only helps against rounding.)  ``m_y`` in the p-basis is a
+    column of the constant inverse matrix, so against the weighted vector
+    kept for each finished P a projection is a sum of constant multiples,
+    with no (q, t) product; so is the norm ``<P_y, P_y> = <m_y, P_y>``.
+    ``P_y``'s p-basis vector comes from its m-basis coefficients through
+    the same matrix.
     """
     if n > MAX_DEGREE:
         raise ValueError(f"oracle capped at degree {MAX_DEGREE}")
     plist, _ = _power_to_monomial_matrix(n)
-    ascending = list(reversed(plist))
+    inv = _monomial_to_power_inverse(n)
+    weights = [_power_sum_weight(lam) for lam in plist]
 
-    built_p: dict[Partition, list[RationalFunction]] = {}
     built_m: dict[Partition, dict[Partition, RationalFunction]] = {}
+    built_p: dict[Partition, list[RationalFunction]] = {}
+    weighted: dict[Partition, list[RationalFunction]] = {}
     norms: dict[Partition, RationalFunction] = {}
 
-    for y in ascending:
-        mvec = [RF_ONE if mu == y else RF_ZERO for mu in plist]
-        pvec = m_vector_to_p_vector(n, mvec)
+    for i, y in reversed(list(enumerate(plist))):
+        my = [row[i] for row in inv]  # m_y in the p-basis
         mdict: dict[Partition, RationalFunction] = {y: RF_ONE}
-        for prev in built_p:
-            coeff = inner_product_p(n, pvec, built_p[prev]) / norms[prev]
+        for prev in built_m:
+            coeff = _pairing(weighted[prev], my) / norms[prev]
             if coeff.is_zero():
                 continue
-            prev_p = built_p[prev]
-            pvec = [a - coeff * b for a, b in zip(pvec, prev_p)]
             for mu, c in built_m[prev].items():
                 mdict[mu] = mdict.get(mu, RF_ZERO) - coeff * c
         mdict = {mu: c for mu, c in mdict.items() if not c.is_zero()}
@@ -602,35 +614,20 @@ def _macdonald_family(n: int):
         for mu in mdict:
             if not dominance_leq(mu, y):
                 raise AssertionError(f"P_{y} has a coefficient above dominance at {mu}")
-        built_p[y] = pvec
         built_m[y] = mdict
-        norms[y] = inner_product_p(n, pvec, pvec)
+        built_p[y] = m_vector_to_p_vector(n, [mdict.get(mu, RF_ZERO) for mu in plist])
+        weighted[y] = [w * a for w, a in zip(weights, built_p[y])]
+        norms[y] = _pairing(weighted[y], my)
         if norms[y].is_zero():
             raise AssertionError(f"P_{y} has vanishing norm")
-    return plist, built_m, built_p, norms
+    return plist, built_m, built_p, weighted, norms
 
 
 def macdonald_P_mbasis(y: Partition) -> dict[Partition, RationalFunction]:
     """P_y as monomial-basis coefficients over Q(q, t); monic at m_y."""
     y = check_partition(y)
-    _, built_m, _, _ = _macdonald_family(size(y))
+    _, built_m, _, _, _ = _macdonald_family(size(y))
     return built_m[y]
-
-
-def macdonald_P(y: Partition, num_vars: int) -> dict[Monomial, RationalFunction]:
-    """P_y expanded into monomials of x_1 .. x_num_vars."""
-    y = check_partition(y)
-    if num_vars > 6:
-        raise ValueError("oracle capped at 6 variables")
-    alphabet = x_alphabet(num_vars)
-    out: dict[Monomial, RationalFunction] = {}
-    for mu, c in macdonald_P_mbasis(y).items():
-        concrete = monomial_symmetric(alphabet, mu)
-        for exps, msign in concrete.terms.items():
-            add = c.scale(msign)
-            prev = out.get(exps)
-            out[exps] = add if prev is None else prev + add
-    return {e: c for e, c in out.items() if not c.is_zero()}
 
 
 # -- verification routines ---------------------------------------------------------
@@ -660,17 +657,17 @@ def verify_dimension(y: Partition, num_vars: int) -> bool:
 
 def verify_orthogonality(n: int) -> bool:
     """All distinct pairs at degree n pair to zero under the inner product."""
-    plist, _, built_p, _ = _macdonald_family(n)
+    plist, _, built_p, weighted, _ = _macdonald_family(n)
     for i, a in enumerate(plist):
         for b in plist[i + 1:]:
-            if not inner_product_p(n, built_p[a], built_p[b]).is_zero():
+            if not _pairing(weighted[a], built_p[b]).is_zero():
                 return False
     return True
 
 
 def verify_power_sum_expansion(n: int) -> bool:
     """Solve p_n = sum_y c_y P_y triangularly; compare with the closed form."""
-    plist, built_m, _, _ = _macdonald_family(n)
+    plist, built_m, _, _, _ = _macdonald_family(n)
     alphabet = x_alphabet(n)
     concrete = power_sum(alphabet, n)
     residual: dict[Partition, RationalFunction] = {}
@@ -695,32 +692,46 @@ def verify_power_sum_expansion(n: int) -> bool:
     return True
 
 
+def _joint(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """``f(x) * g(y)`` over the alphabet ``x + y`` of two disjoint alphabets."""
+    return LaurentPolynomial(
+        f.alphabet + g.alphabet,
+        {ex + ey: cx * cy for ex, cx in f.terms.items() for ey, cy in g.terms.items()},
+    )
+
+
 def _exp_series_coefficients(
-    order: int, factors: dict[int, RationalFunction], tensor: dict[int, LaurentPolynomial]
+    order: int, factors: dict[int, RationalFunction], tensor: dict[int, LaurentPolynomial],
+    alphabet: Alphabet,
 ) -> list[dict[Monomial, RationalFunction]]:
     """Coefficients of Lambda^0..Lambda^order in exp(sum_k a_k Lambda^k) where
-    a_k = factors[k] * tensor[k]; grouped by partition instead of expanding exp."""
-    out: list[dict[Monomial, RationalFunction]] = [dict() for _ in range(order + 1)]
-    alphabet = tensor[1].alphabet if 1 in tensor else None
+    a_k = factors[k] * tensor[k]; grouped by partition instead of expanding exp.
+
+    At Lambda^j a monomial's coefficient is ``sum_lam scalar_lam * c_lam``
+    over the partitions lam of j, for ``scalar_lam = prod_i factors[lam_i] /
+    z_lam`` and the integer ``c_lam`` of the monomial in ``prod_i
+    tensor[lam_i]``.  Each distinct vector ``((lam, c_lam), ...)`` is summed
+    once.
+    """
+    out = []
     for j in range(order + 1):
-        acc: dict[Monomial, RationalFunction] = {}
+        scalars: dict[Partition, RationalFunction] = {}
+        vectors: dict[Monomial, list[tuple[Partition, int]]] = {}
         for lam in enumerate_partitions(j):
             scalar = RationalFunction.const(Fraction(1, z_factor(lam)))
+            poly = LaurentPolynomial.one(alphabet)
             for part in lam:
                 scalar = scalar * factors[part]
-            poly = None
-            for part in lam:
-                poly = tensor[part] if poly is None else poly * tensor[part]
-            if poly is None:
-                poly = LaurentPolynomial.one(alphabet) if alphabet else None
-            if poly is None:
-                acc[()] = scalar
-                continue
+                poly = poly * tensor[part]
+            scalars[lam] = scalar
             for exps, c in poly.terms.items():
-                add = scalar.scale(c)
-                prev = acc.get(exps)
-                acc[exps] = add if prev is None else prev + add
-        out[j] = {e: v for e, v in acc.items() if not v.is_zero()}
+                vectors.setdefault(exps, []).append((lam, c))
+        keys = {exps: tuple(vec) for exps, vec in vectors.items()}
+        sums = {
+            vec: sum((scalars[lam].scale(c) for lam, c in vec), RF_ZERO)
+            for vec in set(keys.values())
+        }
+        out.append({exps: sums[vec] for exps, vec in keys.items() if sums[vec]})
     return out
 
 
@@ -729,70 +740,54 @@ def verify_cauchy(order: int, nx: int, ny: int, principal_l: int | None = None) 
 
     With ``principal_l`` set, the y side is specialized to (1, t, ..,
     t^(L-1)), replaying the finite-L step of the expansion-coefficient
-    derivation before its limit.
+    derivation before its limit; ``ny`` is then unused.
+
+    The left side's coefficient of a monomial depends only on its pair of
+    m-basis orbits (mu, nu), one in x and one in y: it is computed once per
+    pair, as ``sum_Y b_Y * [m_mu]P_Y * [m_nu]P_Y``, with ``P_Y(1, .., t^(L-1))``
+    in place of ``[m_nu]P_Y`` under ``principal_l``.  The two sides are then
+    compared monomial by monomial.
     """
     if order > 3:
         raise ValueError("kernel check capped at order 3")
     xs = x_alphabet(nx)
-    if principal_l is None:
-        ys = x_alphabet(ny, prefix="y")
-        joint = xs + ys
-        lift_x = {v: (1, tuple(int(joint[i] == v) for i in range(len(joint)))) for v in xs}
-        lift_y = {v: (1, tuple(int(joint[i] == v) for i in range(len(joint)))) for v in ys}
-        sub_x = SubstitutionMap(xs, joint, lift_x)
-        sub_y = SubstitutionMap(ys, joint, lift_y)
-    else:
-        joint = xs
-        sub_x = None
-        sub_y = None
+    ys = x_alphabet(ny, prefix="y") if principal_l is None else ()
+    joint = xs + ys
 
-    # Left side: sum over |Y| <= order of b_Y * M_Y(x) * M_Y(y).
-    lhs: list[dict[Monomial, RationalFunction]] = [dict() for _ in range(order + 1)]
-    lhs[0][unit_monomial(joint)] = RF_ONE
+    # Left side: sum over |Y| <= order of b_Y * P_Y(x) * P_Y(y).
+    lhs: list[dict[Monomial, RationalFunction]] = [{unit_monomial(joint): RF_ONE}]
     for j in range(1, order + 1):
-        acc: dict[Monomial, RationalFunction] = {}
+        sums: dict[tuple[Partition, Partition], RationalFunction] = {}
         for y in enumerate_partitions(j):
             b = rational_of_factored(cauchy_norm(y))
-            mx = macdonald_P(y, nx)
-            if principal_l is None:
-                my = macdonald_P(y, ny)
-                pairs = (
-                    (monomial_mul(sub_x.image(ex)[1], sub_y.image(ey)[1]), cx * cy)
-                    for ex, cx in mx.items()
-                    for ey, cy in my.items()
-                )
-            else:
-                pv = principal_value(y, principal_l)
-                pairs = ((ex, cx * pv) for ex, cx in mx.items())
-            for exps, c in pairs:
-                v = b * c
-                prev = acc.get(exps)
-                acc[exps] = v if prev is None else prev + v
-        lhs[j] = {e: v for e, v in acc.items() if not v.is_zero()}
+            in_x = macdonald_P_mbasis(y)
+            in_y = in_x if principal_l is None else {(): principal_value(y, principal_l)}
+            for mu, cx in in_x.items():
+                bx = b * cx
+                for nu, cy in in_y.items():
+                    sums[mu, nu] = sums.get((mu, nu), RF_ZERO) + bx * cy
+        lhs.append({
+            exps: s
+            for (mu, nu), s in sums.items() if s
+            for exps in _joint(monomial_symmetric(xs, mu), monomial_symmetric(ys, nu)).terms
+        })
 
-    # Right side: exp(sum_k Lambda^k / k * (1-t^k)/(1-q^k) * p_k(x) p_k(y)).
+    # Right side: exp(sum_k Lambda^k / k * (1-t^k)/(1-q^k) * p_k(x) p_k(y)),
+    # with p_k(1, .., t^(L-1)) = (1-t^(kL))/(1-t^k) under principal_l.
+    span = 1 if principal_l is None else principal_l
     factors: dict[int, RationalFunction] = {}
     tensor: dict[int, LaurentPolynomial] = {}
     for k in range(1, order + 1):
-        if principal_l is None:
-            factors[k] = RationalFunction(
-                LaurentPolynomial(QT, {(0, 0): 1, (0, k): -1}),
-                LaurentPolynomial(QT, {(0, 0): 1, (k, 0): -1}),
-            )
-            px = power_sum(xs, k).substitute(sub_x)
-            py = power_sum(ys, k).substitute(sub_y)
-            tensor[k] = px * py
-        else:
-            factors[k] = RationalFunction(
-                LaurentPolynomial(QT, {(0, 0): 1, (0, k * principal_l): -1}),
-                LaurentPolynomial(QT, {(0, 0): 1, (k, 0): -1}),
-            )
-            tensor[k] = power_sum(xs, k)
-    rhs = _exp_series_coefficients(order, factors, tensor)
+        factors[k] = RationalFunction(
+            LaurentPolynomial(QT, {(0, 0): 1, (0, k * span): -1}),
+            LaurentPolynomial(QT, {(0, 0): 1, (k, 0): -1}),
+        )
+        py = power_sum(ys, k) if principal_l is None else LaurentPolynomial.one(ys)
+        tensor[k] = _joint(power_sum(xs, k), py)
+    rhs = _exp_series_coefficients(order, factors, tensor, joint)
 
     for j in range(order + 1):
-        keys = set(lhs[j]) | set(rhs[j])
-        for key in keys:
+        for key in set(lhs[j]) | set(rhs[j]):
             if lhs[j].get(key, RF_ZERO) != rhs[j].get(key, RF_ZERO):
                 return False
     return True

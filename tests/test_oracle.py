@@ -1,6 +1,5 @@
 """Brute-force symmetric-function checks of the closed-form ingredients."""
 
-import itertools
 import math
 import operator
 import random
@@ -9,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from torus_super import oracle
-from torus_super.algebra import LaurentPolynomial, exact_divide
+from torus_super.algebra import FactoredRational, LaurentPolynomial, exact_divide
 from torus_super.macdonald import macdonald_dimension
 from torus_super.oracle import (
     QT,
     RationalFunction,
     _gcd_terms,
-    macdonald_P,
     macdonald_P_mbasis,
     monomial_symmetric,
     power_sum,
@@ -83,13 +81,18 @@ def test_canonical_parts_are_pinned():
     assert c.den == qt({(0, 0): -1, (1, 2): 1})
 
 
-def test_expanded_polynomials_are_symmetric():
-    for y in [(2,), (2, 1), (2, 2)]:
-        nx = 3
-        concrete = macdonald_P(y, nx)
-        for exps, coeff in concrete.items():
-            for perm in itertools.permutations(exps):
-                assert concrete[perm] == coeff
+def test_degree_four_parts_are_pinned():
+    # A projection coefficient and a norm of the degree-4 family: a wrong
+    # Gram-Schmidt step fails here at a named value.
+    c = macdonald_P_mbasis((3, 1))[(2, 1, 1)]
+    assert c.num == qt({(0, 0): 2, (0, 1): -2, (1, 0): 2, (1, 1): -3, (1, 3): 1,
+                        (2, 0): 1, (2, 2): -3, (2, 3): 2, (3, 2): -2, (3, 3): 2})
+    assert c.den == qt({(0, 0): 1, (1, 1): -1, (2, 2): -1, (3, 3): 1})
+    norm = oracle._macdonald_family(4)[-1][(2, 2)]
+    assert norm.num == qt({(0, 0): -1, (1, 0): 1, (2, 0): 1, (2, 1): 1,
+                           (3, 0): -1, (3, 1): -1, (4, 1): -1, (5, 1): 1})
+    assert norm.den == qt({(0, 0): -1, (0, 1): 1, (0, 2): 1, (0, 3): -1,
+                           (1, 2): 1, (1, 3): -1, (1, 4): -1, (1, 5): 1})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -134,6 +137,35 @@ def test_cauchy_kernel(order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cauchy_kernel_principal_specialization(order):
     assert verify_cauchy(order, order, 0, principal_l=5)
+
+
+def test_cauchy_kernel_at_order_zero():
+    # Both sides are 1, keyed by the unit monomial of the joint alphabet.
+    assert verify_cauchy(0, 2, 2)
+    assert verify_cauchy(0, 2, 0, principal_l=3)
+
+
+def _doubled_at(fn, target):
+    """``fn`` with its value at the partition ``target`` doubled."""
+    def perturbed(y):
+        out = fn(y)
+        return out * FactoredRational(out.alphabet, coeff=2) if tuple(y) == target else out
+    return perturbed
+
+
+def test_cauchy_kernel_fails_on_a_wrong_norm(monkeypatch):
+    monkeypatch.setattr(oracle, "cauchy_norm", _doubled_at(oracle.cauchy_norm, (2, 1)))
+    assert not verify_cauchy(3, 3, 3)
+    assert not verify_cauchy(3, 3, 0, principal_l=5)
+    assert verify_cauchy(2, 2, 2)  # (2, 1) enters only at order 3
+
+
+def test_power_sum_expansion_fails_on_a_wrong_coefficient(monkeypatch):
+    monkeypatch.setattr(
+        oracle, "power_sum_coefficient", _doubled_at(oracle.power_sum_coefficient, (2, 2))
+    )
+    assert not verify_power_sum_expansion(4)
+    assert verify_power_sum_expansion(3)
 
 
 def test_cauchy_kernel_capped():
