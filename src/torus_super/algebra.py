@@ -138,12 +138,12 @@ class LaurentPolynomial:
     def min_exponents(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no exponent range")
-        return tuple(min(col) for col in zip(*self.terms))
+        return tuple(min(e[i] for e in self.terms) for i in range(len(self.alphabet)))
 
     def max_exponents(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no exponent range")
-        return tuple(max(col) for col in zip(*self.terms))
+        return tuple(max(e[i] for e in self.terms) for i in range(len(self.alphabet)))
 
     def content(self) -> Monomial:
         """Largest monomial dividing every term (componentwise min exponent)."""
@@ -254,7 +254,7 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.alphabet!r}, {self.terms!r})"
 
 
-def format_polynomial(p: LaurentPolynomial, mul: str = "*") -> str:
+def format_polynomial(p: LaurentPolynomial) -> str:
     """Human-readable form, terms in ascending lex order."""
     if p.is_zero():
         return "0"
@@ -266,13 +266,13 @@ def format_polynomial(p: LaurentPolynomial, mul: str = "*") -> str:
                 atoms.append(name)
             elif e:
                 atoms.append(f"{name}^{e}")
-        mono = mul.join(atoms)
+        mono = "*".join(atoms)
         if not mono:
             body = str(abs(c) if isinstance(c, int) else abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{abs(c)}{mul}{mono}"
+            body = f"{abs(c)}*{mono}"
         sign = "-" if c < 0 else "+"
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]

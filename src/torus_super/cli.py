@@ -210,14 +210,14 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
         except OSError:
             print(f"missing fixture {path}", file=sys.stderr)
             return EXIT_IO
-        got = superpolynomial_to_json(compute(n, m))
-        if got == want:
+        result = compute(n, m)
+        if superpolynomial_to_json(result) == want:
             print(f"({n},{m}) ok")
             continue
         failures += 1
         print(f"({n},{m}) MISMATCH")
-        want_terms = {tuple(t[:3]): t[3] for t in json.loads(want)["terms"]}
-        got_terms = {tuple(t[:3]): t[3] for t in json.loads(got)["terms"]}
+        want_terms = superpolynomial_from_json(want).terms.terms
+        got_terms = result.terms.terms
         for key in sorted(set(want_terms) | set(got_terms)):
             a, b = want_terms.get(key), got_terms.get(key)
             if a != b:

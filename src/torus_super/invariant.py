@@ -20,8 +20,8 @@ is multiplied by; that box is several times smaller than one on the bold
 is not a polynomial, and its lowest term in bold (q, t, a) order, read from
 the lowest nonzero digit of each x-row, is the witness.  Only the finished
 T and that witness are substituted into (a, q, t), by
-q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z), and T is normalized
-by its monomial content so the lowest term is +1.
+q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z); one function,
+_normalized, then divides T by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) is sum_Y n_Y * f_Y^k / D_Y, f_Y the
 Macdonald framing of Y, so over prod (1 - z*f), f the distinct framings, each
@@ -32,6 +32,7 @@ are substituted into (a, q, t); the series runs on their (a, q, t) terms.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from collections import Counter
@@ -96,6 +97,14 @@ class CalibrationError(RuntimeError):
     """A generating function could not be certified or normalized."""
 
 
+def _check_positive(names: str, n: object, m: object) -> None:
+    """Reject a pair that is not two positive integers; a bool is not one."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n, m)):
+        raise TypeError(f"{names} must be integers, got ({n!r}, {m!r})")
+    if n < 1 or m < 1:
+        raise ValueError(f"{names} must be positive, got ({n}, {m})")
+
+
 @dataclass(frozen=True)
 class KnotRequest:
     """A validated (n, m) torus-knot index; n strands, m windings."""
@@ -104,10 +113,7 @@ class KnotRequest:
     m: int
 
     def __post_init__(self) -> None:
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (self.n, self.m)):
-            raise TypeError(f"n and m must be integers, got ({self.n!r}, {self.m!r})")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got ({self.n}, {self.m})")
+        _check_positive("n and m", self.n, self.m)
 
     @property
     def quotient(self) -> int:
@@ -482,9 +488,16 @@ def _multiply_back(
     return min(_substitute(found).terms.items(), key=lambda term: term[0][1:] + term[0][:1])
 
 
+def _polynomial(result: Union[Superpolynomial, LaurentPolynomial], use: str) -> LaurentPolynomial:
+    """The terms of a result; a NonPolynomial has none: TypeError."""
+    if isinstance(result, NonPolynomial):
+        raise TypeError(f"({result.n},{result.m}) has no polynomial to {use}: {result.reason}")
+    return result.terms if isinstance(result, Superpolynomial) else result
+
+
 def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> PropertyFlags:
     """Recompute integrality/positivity/normalization flags from the terms."""
-    p = result.terms if isinstance(result, Superpolynomial) else result
+    p = _polynomial(result, "verify")
     integral = all(isinstance(c, int) for c in p.terms.values())
     positive = bool(p.terms) and all(c > 0 for c in p.terms.values())
     normalized = (
@@ -506,27 +519,14 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     (a polynomial sum lies under hi, so T would be it); this happens exactly
     when gcd(n, m) > 1, and the reason names the lowest term of T * D - N.
     All of this runs on Macdonald exponents; only the finished T is
-    substituted into (a, q, t), stripped of its monomial content, and must
-    start with constant term +1.  Results are immutable and memoized.
+    substituted into (a, q, t) and normalized, by _normalized.  Results are
+    immutable and memoized; inspect.unwrap(compute) is the body without the memo.
     """
-    total = _certified(n, m)
-    if isinstance(total, NonPolynomial):
-        return total
-    content = _content(n, m, total)
-    normalized = _substitute(total, content)
-    return Superpolynomial(
-        n=n, m=m, terms=normalized, content=content, flags=verify_properties(normalized)
-    )
-
-
-def _certified(n: int, m: int) -> Union[_Slices, NonPolynomial]:
-    """T as Macdonald slices once the multiply-back certificate holds,
-    otherwise NonPolynomial; nothing is memoized."""
     req = KnotRequest(n, m)
     total, failure = _checked_sum(_family_core(n), _numerators(req))
-    if failure is None:
-        return total
-    return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=f"multiply-back check failed: {failure}")
+    if failure is not None:
+        return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=f"multiply-back check failed: {failure}")
+    return _normalized(n, m, total)
 
 
 def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices, str | None]:
@@ -541,13 +541,13 @@ def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices,
     return total, f"T*D - N has lowest term {diff} at (a, q, t) = {exps}"
 
 
-def _content(n: int, m: int, total: _Slices) -> Monomial:
-    """The bold monomial content of T, its lowest exponent per coordinate:
-    (2 min z, 2 min (x + y), min (2x + z)).
+def _normalized(n: int, m: int, total: _Slices) -> Superpolynomial:
+    """The invariant of a certified T: its bold image divided by its content,
+    the lowest exponent per coordinate (2 min z, 2 min (x + y), min (2x + z)).
 
-    The term of T whose bold image is the content must be +1 after the sign
-    (-1)^z, so the normalized invariant starts with constant term +1; a
-    vanishing T or any other lowest term is an IntegrityError.
+    The bold map is injective, so the constant term is T's coefficient at
+    the content's preimage, sign (-1)^z included, or 0 if it has none.  It
+    must be +1; a vanishing T or any other lowest term is an IntegrityError.
     """
     if not total:
         raise IntegrityError(f"({n},{m}): invariant vanished identically")
@@ -556,26 +556,18 @@ def _content(n: int, m: int, total: _Slices) -> Monomial:
         2 * min(x + y for terms in total.values() for x, y in terms),
         min(2 * x + z for z, terms in total.items() for x, _ in terms),
     )
-    # The bold map is injective: the content's preimage, if on the lattice,
-    # is z = c_a / 2, x = (c_t - z) / 2 and y = c_q / 2 - x.
-    z = content[0] // 2
-    x, odd = divmod(content[2] - z, 2)
-    lowest = 0 if odd else total[z].get((x, content[1] // 2 - x), 0)
-    if z % 2:
-        lowest = -lowest
-    if lowest != 1:
+    terms = _substitute(total, content)
+    if terms.constant_term != 1:
         raise IntegrityError(
-            f"({n},{m}): lowest term is {lowest}, expected +1; content {content}"
+            f"({n},{m}): lowest term is {terms.constant_term}, expected +1; content {content}"
         )
-    return content
+    return Superpolynomial(n=n, m=m, terms=terms, content=content, flags=verify_properties(terms))
 
 
 def specialize(result: Union[Superpolynomial, LaurentPolynomial], target: str) -> LaurentPolynomial:
     """Classical reductions: 'homfly' (t -> -1), then 'jones' (a -> q^2) or
     'alexander' (a -> 1).  A NonPolynomial has none: TypeError."""
-    if isinstance(result, NonPolynomial):
-        raise TypeError(f"({result.n},{result.m}) has no polynomial to specialize: {result.reason}")
-    p = result.terms if isinstance(result, Superpolynomial) else result
+    p = _polynomial(result, "specialize")
     if p.alphabet != KNOT:
         raise ValueError("specialization expects an (a, q, t) polynomial")
     homfly = p.substitute(_TO_HOMFLY)
@@ -629,7 +621,7 @@ class GeneratingFunction:
 
 def _check_family(n: int, r: int) -> None:
     """Reject a family m = nk + r that has no generating function here."""
-    KnotRequest(n, r)  # integers, not bools, both positive
+    _check_positive("n and r", n, r)
     if r >= n:
         raise ValueError("need 1 <= r < n")
     if math.gcd(n, r) != 1:
@@ -656,14 +648,13 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     core = _family_core(n)
     summand_framings = [(part.framing[0], part.framing[1] + n) for part in core.parts]
     framings = set(summand_framings)
-    contents, known = [], []
+    known = []
     for k in range(4):
-        total = _certified(n, n * k + r)
-        if isinstance(total, NonPolynomial):
+        # The body past every wrapper, the memo and any tracer's: nothing is cached.
+        known.append(inspect.unwrap(compute)(n, n * k + r))
+        if isinstance(known[k], NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
-        contents.append(_content(n, n * k + r, total))
-        known.append(_substitute(total, contents[k]))
-    steps = {monomial_div(contents[k + 1], contents[k]) for k in range(3)}
+    steps = {monomial_div(known[k + 1].content, known[k].content) for k in range(3)}
     if len(steps) != 1:
         raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
     nu = steps.pop()
@@ -678,7 +669,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
             elementary[j] = elementary[j] - elementary[j - 1].shifted((f_x, f_y, 0))
     cofactors = dict.fromkeys(framings, elementary[0])
     first = _numerators(KnotRequest(n, r))
-    numerator = [(0, known[0])]
+    numerator = [(0, known[0].terms)]
     for j in range(1, len(framings)):
         cofactors = {f: c.shifted((*f, 0)) + elementary[j] for f, c in cofactors.items()}
         numerators = []
@@ -697,7 +688,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
                 f"numerator order z^{j} failed the multiply-back check: {failure}"
             )
         if total:
-            content = tuple(c + j * v for c, v in zip(contents[0], nu))
+            content = tuple(c + j * v for c, v in zip(known[0].content, nu))
             numerator.append((j, _substitute(total, content)))
     gf = GeneratingFunction(
         n=n,
@@ -708,7 +699,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         )),
     )
     for k, (got, want) in enumerate(zip(gf.series(3), known)):
-        if got != want:
+        if got != want.terms:
             raise CalibrationError(f"series order z^{k} disagrees with compute({n},{n * k + r})")
     return gf
 
@@ -803,12 +794,19 @@ def scan(n_max: int, m_max: int) -> ScanReport:
 # -- canonical JSON ------------------------------------------------------------
 
 
+def _to_rows(p: LaurentPolynomial) -> list[list]:
+    """JSON term rows [a, q, t, "c"], ascending lex over the exponents."""
+    return [[a, q, t, str(c)] for (a, q, t), c in p.sorted_terms()]
+
+
+def _from_rows(rows: list[list]) -> LaurentPolynomial:
+    """Inverse of _to_rows."""
+    return LaurentPolynomial(KNOT, [((int(a), int(q), int(t)), Fraction(c)) for a, q, t, c in rows])
+
+
 def superpolynomial_to_json(sp: Superpolynomial) -> str:
     """Canonical one-line JSON; terms ascending lex over (a, q, t) exponents."""
-    terms = [
-        [e[0], e[1], e[2], str(c)] for e, c in sp.terms.sorted_terms()
-    ]
-    payload = {"n": sp.n, "m": sp.m, "normalized": True, "terms": terms}
+    payload = {"n": sp.n, "m": sp.m, "normalized": True, "terms": _to_rows(sp.terms)}
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -816,46 +814,27 @@ def superpolynomial_from_json(text: str) -> Superpolynomial:
     """Inverse of superpolynomial_to_json; the canonical form stores no
     content, so the result's content is the unit monomial."""
     data = json.loads(text)
-    terms = [
-        ((int(a), int(q), int(t)), Fraction(c)) for a, q, t, c in data["terms"]
-    ]
-    poly = LaurentPolynomial(KNOT, terms)
+    poly = _from_rows(data["terms"])
     if not data.get("normalized", False):
         raise ValueError("only normalized invariants are serialized")
-    content = unit_monomial(KNOT)
     return Superpolynomial(
         n=int(data["n"]),
         m=int(data["m"]),
         terms=poly,
-        content=content,
+        content=unit_monomial(KNOT),
         flags=verify_properties(poly),
     )
 
 
 def generating_function_to_json(gf: GeneratingFunction) -> str:
-    numerator = [
-        [j, [[e[0], e[1], e[2], str(c)] for e, c in coeff.sorted_terms()]]
-        for j, coeff in gf.numerator
-    ]
-    payload = {
-        "n": gf.n,
-        "r": gf.r,
-        "numerator": numerator,
-        "denominator": [list(p) for p in gf.poles],
-    }
+    numerator = [[j, _to_rows(coeff)] for j, coeff in gf.numerator]
+    poles = [list(p) for p in gf.poles]
+    payload = {"n": gf.n, "r": gf.r, "numerator": numerator, "denominator": poles}
     return json.dumps(payload, separators=(",", ":"))
 
 
 def generating_function_from_json(text: str) -> GeneratingFunction:
     data = json.loads(text)
-    numerator = tuple(
-        (
-            int(j),
-            LaurentPolynomial(
-                KNOT, [((int(a), int(q), int(t)), Fraction(c)) for a, q, t, c in terms]
-            ),
-        )
-        for j, terms in data["numerator"]
-    )
+    numerator = tuple((int(j), _from_rows(rows)) for j, rows in data["numerator"])
     poles = tuple(tuple(int(x) for x in p) for p in data["denominator"])
     return GeneratingFunction(n=int(data["n"]), r=int(data["r"]), numerator=numerator, poles=poles)

@@ -94,6 +94,7 @@ def test_compute_raw_json_rejected(capsys):
         (("genfun", "4", "2"), "family (n=4, r=2) hits non-coprime windings"),
         (("scan", "--n-max", "1", "--m-max", "20"), "no pair 2 <= n <= 1, n < m <= 20 to scan"),
         (("scan", "--n-max", "6", "--m-max", "2"), "no pair 2 <= n <= 6, n < m <= 2 to scan"),
+        (("genfun", "0", "1"), "n and r must be positive, got (0, 1)"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, args, cause):

@@ -13,9 +13,9 @@ from torus_super import cli, invariant
 from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_product
 from torus_super.invariant import (
     _cone_step,
-    _content,
     _family_core,
     _multiply_back,
+    _normalized,
     _numerators,
     _series_bound,
     _series_sum,
@@ -366,6 +366,13 @@ def test_verify_properties_identity():
     assert flags.all_true
 
 
+def test_verify_properties_names_a_nonpolynomial():
+    result = compute(2, 4)
+    with pytest.raises(TypeError) as exc:
+        verify_properties(result)
+    assert str(exc.value) == f"(2,4) has no polynomial to verify: {result.reason}"
+
+
 def test_matches_stored_fixture():
     for n, m in [(3, 7), (5, 6)]:
         want = (FIXTURES / f"{n}_{m}.json").read_text().strip()
@@ -509,16 +516,15 @@ def test_generating_function_series_matches_direct(n, r):
 
 
 def _with_changed_order(monkeypatch, n, r, order, change):
-    """Make generating_function's certified slices of P(n, n*order + r) change(slices),
-    and undo any earlier change."""
+    """Make the certified slices of P(n, n*order + r) reach _normalized as
+    change(slices), and undo any earlier change."""
     monkeypatch.undo()
-    real = invariant._certified
+    real = invariant._normalized
 
-    def changed(n_, m):
-        total = real(n_, m)
-        return change(total) if (n_, m) == (n, n * order + r) else total
+    def changed(n_, m, total):
+        return real(n_, m, change(total) if (n_, m) == (n, n * order + r) else total)
 
-    monkeypatch.setattr(invariant, "_certified", changed)
+    monkeypatch.setattr(invariant, "_normalized", changed)
 
 
 def _bump_one_coefficient(total):
@@ -544,12 +550,14 @@ def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
 
 
 def _bump_numerator_order(monkeypatch, n, r, order):
-    """Serve T_0..T_3 of the family from a memo, so each series sum left is
-    a numerator order's, 1..p-1 in turn, and bump order `order` as
-    _bump_one_coefficient does.  The witness is then the bumped term times
-    the constant term 1 of D: the returned list receives its bold image."""
-    certified = {n * k + r: invariant._certified(n, n * k + r) for k in range(4)}
-    monkeypatch.setattr(invariant, "_certified", lambda n_, m: certified[m])
+    """Serve P_0..P_3 of the family from a memo in place of compute's body,
+    so each series sum left is a numerator order's, 1..p-1 in turn, and bump
+    order `order` as _bump_one_coefficient does.  The witness is then the
+    bumped term times the constant term 1 of D: the returned list receives
+    its bold image."""
+    body = compute.__wrapped__
+    known = {n * k + r: body(n, n * k + r) for k in range(4)}
+    monkeypatch.setattr(compute, "__wrapped__", lambda n_, m: known[m])
     real = invariant._series_sum
     calls, witness = [], []
 
@@ -591,18 +599,26 @@ def test_fit_rejects_a_changed_content_or_a_nonpolynomial_order(monkeypatch, n, 
     with pytest.raises(CalibrationError, match="content ratio not constant"):
         generating_function(n, r)
 
-    def lost(total):
-        return NonPolynomial(n=n, m=n + r, gcd=1)
+    monkeypatch.undo()
+    body = compute.__wrapped__
 
-    _with_changed_order(monkeypatch, n, r, 1, lost)
+    def lost(n_, m):
+        return NonPolynomial(n=n_, m=m, gcd=1) if m == n + r else body(n_, m)
+
+    monkeypatch.setattr(compute, "__wrapped__", lost)
     with pytest.raises(CalibrationError, match=re.escape(f"({n},{n + r}) is not polynomial")):
         generating_function(n, r)
 
 
-def test_content_reads_the_lowest_term_at_its_preimage():
+def test_normalized_reads_the_lowest_term_as_its_constant_term():
     # q^x t^y A^z is bold (2z, 2(x + y), 2x + z) with sign (-1)^z.
-    assert _content(2, 3, {0: {(0, 0): 1, (1, 1): 1}, 1: {(0, 1): -1}}) == (0, 0, 0)
-    assert _content(2, 3, {1: {(0, 0): -1}, 3: {(2, 0): -5}}) == (2, 0, 1)
+    first = _normalized(2, 3, {0: {(0, 0): 1, (1, 1): 1}, 1: {(0, 1): -1}})
+    assert first.content == (0, 0, 0)
+    assert first.terms == knot({(0, 0, 0): 1, (0, 4, 2): 1, (2, 2, 1): 1})
+    second = _normalized(2, 3, {1: {(0, 0): -1}, 3: {(2, 0): -5}})
+    assert second.content == (2, 0, 1)
+    assert second.terms == knot({(0, 0, 0): 1, (4, 4, 6): 5})
+    assert first.flags.all_true and second.flags.all_true
     cases = [
         ({0: {(0, 0): 2}}, "lowest term is 2"),
         ({1: {(0, 0): 1}}, "lowest term is -1"),
@@ -612,7 +628,7 @@ def test_content_reads_the_lowest_term_at_its_preimage():
     ]
     for total, message in cases:
         with pytest.raises(IntegrityError, match=re.escape(f"(2,3): {message}")):
-            _content(2, 3, total)
+            _normalized(2, 3, total)
 
 
 def _scaled(factor):
@@ -628,8 +644,13 @@ def _scaled(factor):
     (lambda total: {}, "invariant vanished identically"),
 ], ids=["doubled", "negated", "vanished"])
 def test_integrity_checks_reach_compute_and_generating_function(monkeypatch, change, message):
-    real = invariant._certified
-    monkeypatch.setattr(invariant, "_certified", lambda n, m: change(real(n, m)))
+    real = invariant._checked_sum
+
+    def changed(core, numerators):
+        total, failure = real(core, numerators)
+        return change(total), failure
+
+    monkeypatch.setattr(invariant, "_checked_sum", changed)
     with pytest.raises(IntegrityError, match=re.escape(f"(3,4): {message}")):
         compute.__wrapped__(3, 4)  # past the memo
     with pytest.raises(IntegrityError, match=re.escape(f"(3,1): {message}")):
@@ -713,11 +734,11 @@ def test_series_after_json_round_trip():
 def test_generating_function_rejects_bad_families():
     with pytest.raises(ValueError):
         generating_function(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("n and r must be positive, got (3, 0)")):
         generating_function(3, 0)
     with pytest.raises(ValueError):
         generating_function(3, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=re.escape("n and r must be integers, got (3, True)")):
         generating_function(3, True)
 
 
