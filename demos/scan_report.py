@@ -3,8 +3,9 @@ Sweeping the (n, m) plane
 =========================
 
 Coprime (n, m) must give a polynomial with positive integer
-coefficients; everything else must fail exact division.  The scan drives
-both directions over a grid and reports shape statistics along the way.
+coefficients; everything else must fail the multiply-back check.  The
+scan drives both directions over a grid and reports shape statistics
+along the way.
 """
 
 from collections import Counter

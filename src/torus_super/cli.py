@@ -50,18 +50,16 @@ CORPUS_PAIRS = (
     (5, 6), (5, 8),
 )
 
-_CORE_MODULES = ("partitions.py", "algebra.py", "macdonald.py", "invariant.py")
-
 
 # -- advisory result cache -----------------------------------------------------
 
 
 @cache  # the sources do not change under a running process
 def _code_version() -> str:
+    """sha256 of every module of the package in sorted order: none can leave stale entries."""
     digest = hashlib.sha256()
-    root = Path(__file__).parent
-    for name in _CORE_MODULES:
-        digest.update((root / name).read_bytes())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
 
@@ -98,9 +96,13 @@ def cached_compute(n: int, m: int):
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(entry) + "\n")
-            os.replace(tmp, path)
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(json.dumps(entry) + "\n")
+                os.replace(tmp, path)
+            except OSError:
+                os.unlink(tmp)  # a failed write, say on a full disk, leaves no temp file
+                raise
         except OSError:
             pass  # cache is advisory
     return result
@@ -177,7 +179,7 @@ def _report_nonpolynomial(result: NonPolynomial) -> int:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     _check_arguments(KnotRequest, args.n, args.m)
-    result = compute(args.n, args.m) if args.raw else cached_compute(args.n, args.m)
+    result = cached_compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
         return _report_nonpolynomial(result)
     if args.json:

@@ -7,19 +7,15 @@ the common numerator, and it runs on Macdonald exponents q^x t^y A^z until
 the answer is finished.  It expands only each summand's small numerator n_Y
 and slices it by z once; every denominator binomial is 1 - q^x t^y with
 x, y >= 0 and x + y > 0, so 1/D_Y is a power series on that cone and leaves
-z alone.  The series of the n_Y / D_Y are truncated where their bold image
-(2z, 2(x + y), 2x + z) in (a, q, t) passes hi = max_Y (top(n_Y) - deg D_Y),
-which bounds the sum wherever it is a polynomial, and added up into T.
-
-The multiply-back certificate then checks T * D == sum_Y n_Y * (D / D_Y)
-exactly, for the lcm D of the denominators, on Kronecker-packed Python
-ints, one z-slice at a time.  A slice is packed on (x, y), where a step of
-D is one shift and each row spans y plus the reach in y of the steps a side
-is multiplied by; that box is several times smaller than one on the bold
-(q/2, t).  Equality proves T is the invariant; a difference proves the sum
-is not a polynomial, and its lowest term in bold (q, t, a) order, read from
-the lowest nonzero digit of each x-row, is the witness.  Only the finished
-T and that witness are substituted into (a, q, t), by
+z alone.  The answer is therefore certified one power of A at a time.  In
+each z-slice the series of the n_Y / D_Y are truncated at limits of x + y
+and 2x + z that bound the sum wherever it is a polynomial, and added up into
+T's slice; the multiply-back check then compares T * D with
+sum_Y n_Y * (D / D_Y) exactly, D the lcm of the denominators, on
+Kronecker-packed Python ints.  Equality in every slice proves T is the
+invariant; a difference proves the sum is not a polynomial, and its lowest
+term in bold (q, t, a) order is the witness.  Only the finished T and that
+witness are substituted into (a, q, t), by
 q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z); one function,
 _normalized, then divides T by its monomial content so the lowest term is +1.
 
@@ -50,6 +46,8 @@ from .algebra import (
     LaurentPolynomial,
     Monomial,
     SubstitutionMap,
+    _digit_bias,
+    _digit_bytes,
     as_coeff,
     expand_binomial_product,
     monomial_div,
@@ -183,7 +181,8 @@ class _Summand:
 
 
 # A polynomial over MACD as slices z -> {(x, y): coefficient of q^x t^y A^z}.
-_Slices = dict[int, dict[tuple[int, int], int]]
+_Slice = dict[tuple[int, int], int]
+_Slices = dict[int, _Slice]
 # The multiply-back tree over the summands: a leaf is a summand's index, a
 # node (left, right, left_steps, right_steps) brings both halves to the lcm
 # of their denominators by the steps each half misses.
@@ -218,28 +217,28 @@ def _cone_step(b: Monomial) -> tuple[int, int]:
     return x, y
 
 
-def _lcm_peak(steps: _Steps) -> int:
-    """Largest |coefficient| of ``D = prod (1 - q^x t^y)^mult``, expanded
-    once as a Kronecker-packed int.
-
-    One signed w-bit digit per exponent of the Macdonald box, x the more
-    significant; |coef(D)| <= L1(D) <= 2^copies < 2^(w - 1), so the digits
-    are exact.  Adding 2^(w - 1) to every digit makes them all non-negative,
-    so the bytes of the sum hold the digits shifted by 2^(w - 1).
-    """
-    copies = sum(mult for _, mult in steps)
-    nbytes = (copies + 9) // 8  # w = 8 * nbytes >= copies + 2
-    width = 1 + sum(y * mult for (_, y), mult in steps)
-    size = width * (1 + sum(x * mult for (x, _), mult in steps))
-    v = 1
+def _times(v: int, steps: _Steps, width: int, w: int) -> int:
+    """v times ``prod (1 - q^x t^y)^mult`` on ints packed with w-bit digits,
+    rows of ``width`` digits by x: each binomial copy is one
+    ``v -= v << w * (x * width + y)``."""
     for (x, y), mult in steps:
-        shift = 8 * nbytes * (x * width + y)
+        shift = w * (x * width + y)
         for _ in range(mult):
             v -= v << shift
-    half = 1 << (8 * nbytes - 1)
-    v += int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    return v
+
+
+def _lcm_peak(steps: _Steps) -> int:
+    """Largest |coefficient| of ``D = prod (1 - q^x t^y)^mult``, expanded once
+    as a packed int, one digit per (x, y) of its box, x the more significant.
+    |coef(D)| <= L1(D) <= 2^copies, so digits of _digit_bytes(2^copies) are exact."""
+    nbytes = _digit_bytes(1 << sum(mult for _, mult in steps))
+    width = 1 + sum(y * mult for (_, y), mult in steps)
+    size = width * (1 + sum(x * mult for (x, _), mult in steps))
+    v = _times(1, steps, width, 8 * nbytes) + _digit_bias(size, nbytes)
     data = v.to_bytes(size * nbytes, "little")
     digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    half = 1 << (8 * nbytes - 1)
     return max(max(digits) - half, half - min(digits))
 
 
@@ -333,159 +332,123 @@ def _knot(terms: dict[Monomial, Coeff]) -> LaurentPolynomial:
     return out
 
 
-def _series_bound(core: _FamilyCore, numerators: list[_Slices]) -> Monomial:
-    """hi = max_Y (top(n_Y) - deg D_Y) per bold coordinate (a, q, t).
-
-    If the sum S of the summands is a polynomial, S * D = N with
-    N = sum_Y n_Y * (D / D_Y), and top(N) <= hi + deg D, so S lies under hi.
-    A term q^x t^y A^z is bold (2z, 2(x + y), 2x + z), and a step (x, y)
-    raises that by (0, 2(x + y), 2x).
-    """
+def _series_bound(core: _FamilyCore, numerators: list[_Slices]) -> tuple[int, int]:
+    """(top_d, top_t) = max_Y (top(n_Y) - deg D_Y) in the linear gradings x + y
+    and 2x + z of q^x t^y A^z, which a step (x, y) raises by x + y and 2x.
+    If the sum S of the summands is a polynomial, S * D = N = sum_Y n_Y * (D / D_Y),
+    and tops add under products, so top(S) <= max_Y top(n_Y) - deg D_Y."""
     tops = []
     for part, num in zip(core.parts, numerators):
-        deg_q = sum(2 * (x + y) * mult for (x, y), mult in part.denominator)
+        deg_d = sum((x + y) * mult for (x, y), mult in part.denominator)
         deg_t = sum(2 * x * mult for (x, _), mult in part.denominator)
-        top_q = max(2 * (x + y) for terms in num.values() for x, y in terms)
+        top_d = max(x + y for terms in num.values() for x, y in terms)
         top_t = max(2 * x + z for z, terms in num.items() for x, _ in terms)
-        tops.append((2 * max(num), top_q - deg_q, top_t - deg_t))
+        tops.append((top_d - deg_d, top_t - deg_t))
     return tuple(max(col) for col in zip(*tops))
 
 
-def _series_sum(core: _FamilyCore, numerators: list[_Slices], hi: Monomial) -> _Slices:
-    """T: the sum over Y of the series of n_Y / D_Y, truncated at hi.
+def _slice_series(core: _FamilyCore, sides: list[_Slice], top_d: int, top_x: int) -> _Slice:
+    """One z-slice of T: the sum of the series of n_Y / D_Y, sides the slices
+    of the n_Y, truncated at d = x + y <= top_d and x <= top_x (2x + z <= top_t).
 
-    A term q^x t^y A^z is kept while its bold image lies under hi:
-    d = x + y <= hi_q / 2 and 2x + z <= hi_t.  No step moves z, so every
-    2z <= hi_a, and each z-slice of n_Y is divided on its own, kept as rows
-    ``d -> {x: coefficient}``.  Each copy of a step (x, y) is one pass of the
-    line recurrence ``g[e] = f[e] + g[e - (x, y)]``, in place and in
-    ascending d: x + y > 0, so g[e - (x, y)] is final when e is reached.
-    Every step is >= 0, so no term falls back under hi once it rises above
-    it, and truncating commutes with the division.
+    Each slice of n_Y is kept as rows ``d -> {x: coefficient}``.  Each copy of
+    a step (x, y) is one pass of the line recurrence ``g[e] = f[e] + g[e - (x, y)]``,
+    in place and in ascending d: x + y > 0, so g[e - (x, y)] is final when e
+    is reached.  Every step is >= 0, so no term falls back under the limits
+    once it rises above them, and truncating commutes with the division.
     """
-    top_d = hi[1] // 2
-    sums: dict[int, dict[int, dict[int, int]]] = {}  # z -> d -> x -> coefficient
-    for part, num in zip(core.parts, numerators):
-        for z, terms in num.items():
-            top_x = (hi[2] - z) // 2
-            rows: dict[int, dict[int, int]] = {}
-            for (x, y), c in terms.items():
-                if x <= top_x and x + y <= top_d:
-                    rows.setdefault(x + y, {})[x] = c
-            if not rows:
-                continue  # this slice of n_Y / D_Y lies wholly above hi
-            for (sx, sy), mult in part.denominator:
-                sd = sx + sy
-                room = top_x - sx  # x + sx stays <= top_x when x <= room
-                for _ in range(mult):
-                    for d in range(min(rows), top_d - sd + 1):
-                        row = rows.get(d)
-                        if not row:
-                            continue
-                        above = rows.setdefault(d + sd, {})
-                        for x, c in row.items():
-                            if x <= room:
-                                x += sx
-                                above[x] = above.get(x, 0) + c
-            into = sums.setdefault(z, {})
-            for d, row in rows.items():
-                acc = into.setdefault(d, {})
-                for x, c in row.items():
-                    acc[x] = acc.get(x, 0) + c
-    total = {
-        z: {(x, d - x): c for d, row in rows.items() for x, c in row.items() if c}
-        for z, rows in sums.items()
-    }
-    return {z: terms for z, terms in total.items() if terms}
+    sums: dict[int, dict[int, int]] = {}  # d -> x -> coefficient
+    for part, terms in zip(core.parts, sides):
+        rows: dict[int, dict[int, int]] = {}
+        for (x, y), c in terms.items():
+            if x <= top_x and x + y <= top_d:
+                rows.setdefault(x + y, {})[x] = c
+        if not rows:
+            continue  # this slice of n_Y / D_Y lies wholly above the limits
+        for (sx, sy), mult in part.denominator:
+            sd = sx + sy
+            room = top_x - sx  # x + sx stays <= top_x when x <= room
+            for _ in range(mult):
+                for d in range(min(rows), top_d - sd + 1):
+                    row = rows.get(d)
+                    if not row:
+                        continue
+                    above = rows.setdefault(d + sd, {})
+                    for x, c in row.items():
+                        if x <= room:
+                            x += sx
+                            above[x] = above.get(x, 0) + c
+        for d, row in rows.items():
+            acc = sums.setdefault(d, {})
+            for x, c in row.items():
+                acc[x] = acc.get(x, 0) + c
+    return {(x, d - x): c for d, row in sums.items() for x, c in row.items() if c}
 
 
-def _multiply_back(
-    core: _FamilyCore, total: _Slices, numerators: list[_Slices]
-) -> tuple[Monomial, int] | None:
-    """Exact check ``T * D == N = sum_Y n_Y * (D / D_Y)`` on packed ints.
+def _slice_check(core: _FamilyCore, sides: list[_Slice]) -> _Slice:
+    """Exact check ``T * D == N = sum_Y n_Y * (D / D_Y)`` in one z-slice on
+    packed ints; sides are T's slice, then each n_Y's.
 
-    No binomial of D changes the power z of A, so the identity holds exactly
-    when it holds in every z-slice; a slice at a time keeps the packed ints
-    small.  Each side of a slice is Kronecker-packed into one Python int,
-    one w-bit signed digit per (x, y) of the box both sides live in, x the
-    more significant; the row width spans y plus the reach sum(y * mult) of
-    the steps each side misses, so a step (x, y) is the shift
-    ``w * (x * width + y)``.  w exceeds twice the proven bound
-    L1(T) * max|coef(D)| + sum_Y L1(n_Y) * 2^(copies in D / D_Y) on every
-    digit of either side, so the packing is injective and the ints are equal
-    exactly when the polynomials are.  Each binomial copy is one
-    ``v -= v << shift``; N is summed over the family's balanced tree, each
-    pair of halves brought to the lcm of its denominators.  Returns None on
-    equality, otherwise the bold image of the lowest term of T * D - N in
-    (q, t, a) order.  That is not the lowest packed digit: it is the lowest
-    bold image among the lowest nonzero digit of each x-row, read from the
-    difference with 2^(w - 1) added to every digit.
+    Each side is one Python int, one w-bit signed digit per (x, y) of the box
+    both sides live in, x the more significant; a row spans y plus the reach
+    sum(y * mult) of the steps each side misses, so a step (x, y) is the shift
+    ``w * (x * width + y)``.  Digits take _digit_bytes(L1(T) * max|coef(D)| +
+    sum_Y L1(n_Y) * 2^(copies in D / D_Y)), a bound on each digit of T * D - N,
+    so the ints are equal exactly when the polynomials are.  N is summed
+    over the family's balanced tree.  Returns {} on equality, otherwise the
+    lowest nonzero digit of each x-row of T * D - N: the rows of the biased
+    difference whose bytes differ from the bias's.  The lowest term in bold
+    (q, t, a) order is among them, as q = 2(x + y) rises with y in a row.
     """
-    slices = [total] + numerators
     reach = [sum(y * mult for (_, y), mult in core.lcm_steps)] + [r for _, r in core.missing]
-    found: _Slices = {}
-    for z in sorted(set().union(*slices)):
-        sides = [s.get(z, {}) for s in slices]  # T's slice, then each n_Y's
-        lo_x = min(x for side in sides for x, _ in side)
-        lo_y = min(y for side in sides for _, y in side)
-        width = max(max(y for _, y in side) + r for side, r in zip(sides, reach) if side)
-        width += 1 - lo_y
-        bound = sum(abs(c) for c in sides[0].values()) * core.lcm_peak
-        for side, (spare, _) in zip(sides[1:], core.missing):
-            bound += sum(abs(c) for c in side.values()) << spare
-        nbytes = (bound.bit_length() + 8) // 8  # bound < 2^(w - 1), w = 8 * nbytes
-        w = 8 * nbytes
+    lo_x = min(x for side in sides for x, _ in side)
+    lo_y = min(y for side in sides for _, y in side)
+    width = max(max(y for _, y in side) + r for side, r in zip(sides, reach) if side)
+    width += 1 - lo_y
+    bound = sum(abs(c) for c in sides[0].values()) * core.lcm_peak
+    for side, (spare, _) in zip(sides[1:], core.missing):
+        bound += sum(abs(c) for c in side.values()) << spare
+    nbytes = _digit_bytes(bound)
+    w, half = 8 * nbytes, 1 << (8 * nbytes - 1)
 
-        def pack(side: dict[tuple[int, int], int]) -> int:
-            spots = [((x - lo_x) * width + y - lo_y, c) for (x, y), c in side.items()]
-            size = (max((k for k, _ in spots), default=-1) + 1) * nbytes
-            v = 0
-            for sign in (1, -1):  # positive digits, then negative ones
-                buf = bytearray(size)
-                for k, c in spots:
-                    if c * sign > 0:
-                        buf[k * nbytes:(k + 1) * nbytes] = (c * sign).to_bytes(nbytes, "little")
-                v += sign * int.from_bytes(buf, "little")
-                del buf
-            return v
+    def pack(side: _Slice) -> int:
+        # Each digit is written once, as c + 2^(w - 1) over the bias, which then comes off.
+        count = (max((x for x, _ in side), default=lo_x - 1) + 1 - lo_x) * width
+        bias = _digit_bias(count, nbytes)
+        buf = bytearray(bias.to_bytes(count * nbytes, "little"))
+        for (x, y), c in side.items():
+            k = ((x - lo_x) * width + y - lo_y) * nbytes
+            buf[k:k + nbytes] = (c + half).to_bytes(nbytes, "little")
+        v = int.from_bytes(buf, "little")
+        del buf
+        return v - bias
 
-        def times(v: int, steps: _Steps) -> int:
-            for (x, y), mult in steps:
-                shift = w * (x * width + y)
-                for _ in range(mult):
-                    v -= v << shift
-            return v
+    def combine(node: _Node) -> int:
+        """Packed sum of n_Y * (L / D_Y) over the node's summands, L the lcm of
+        their D_Y; halves are summed depth first, so few ints are alive."""
+        if isinstance(node, int):
+            return pack(sides[node + 1])
+        left, right, left_steps, right_steps = node
+        v = _times(combine(left), left_steps, width, w)
+        return v + _times(combine(right), right_steps, width, w)
 
-        def combine(node: _Node) -> int:
-            """Packed sum of n_Y * (L / D_Y) over the node's summands, L the
-            lcm of their D_Y; halves are summed depth first, so few ints are
-            alive."""
-            if isinstance(node, int):
-                return pack(sides[node + 1])
-            left, right, left_steps, right_steps = node
-            v = times(combine(left), left_steps)
-            v += times(combine(right), right_steps)
-            return v
-
-        diff = times(pack(sides[0]), core.lcm_steps)
-        diff -= combine(core.tree)  # at the root, L = D
-        if diff:
-            row = width * nbytes
-            rows = -(-(abs(diff).bit_length() // w + 1) // width)
-            bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (rows * width), "little")
-            biased = diff + bias
-            data = biased.to_bytes(rows * row, "little")
-            marks = (biased ^ bias).to_bytes(rows * row, "little")
-            for r in range(rows):
-                mark = int.from_bytes(marks[r * row:(r + 1) * row], "little")
-                if mark:
-                    y = ((mark & -mark).bit_length() - 1) // w
-                    at = r * row + y * nbytes
-                    digit = int.from_bytes(data[at:at + nbytes], "little") - (1 << (w - 1))
-                    found.setdefault(z, {})[lo_x + r, lo_y + y] = digit
-    if not found:
-        return None
-    return min(_substitute(found).terms.items(), key=lambda term: term[0][1:] + term[0][:1])
+    diff = _times(pack(sides[0]), core.lcm_steps, width, w)
+    diff -= combine(core.tree)  # at the root, L = D
+    found = {}
+    if diff:
+        row = width * nbytes
+        rows = -(-(abs(diff).bit_length() // w + 1) // width)
+        bias = _digit_bias(rows * width, nbytes)
+        biased = diff + bias
+        data = biased.to_bytes(rows * row, "little")
+        marks = (biased ^ bias).to_bytes(rows * row, "little")
+        for r in range(rows):
+            mark = int.from_bytes(marks[r * row:(r + 1) * row], "little")
+            if mark:
+                y = ((mark & -mark).bit_length() - 1) // w
+                at = r * row + y * nbytes
+                found[lo_x + r, lo_y + y] = int.from_bytes(data[at:at + nbytes], "little") - half
+    return found
 
 
 def _polynomial(result: Union[Superpolynomial, LaurentPolynomial], use: str) -> LaurentPolynomial:
@@ -530,14 +493,23 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
 
 
 def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices, str | None]:
-    """T, the series sum of the n_Y / D_Y truncated at their bound, and
-    None if the multiply-back check holds, otherwise the text naming the
-    lowest term of T * D - N."""
-    total = _series_sum(core, numerators, _series_bound(core, numerators))
-    witness = _multiply_back(core, total, numerators)
-    if witness is None:
+    """T, the series sum of the n_Y / D_Y truncated at their bound, and None
+    if the multiply-back check holds, otherwise the text naming the lowest
+    term of T * D - N in bold (q, t, a) order.  No binomial of D moves the
+    power z of A, so both run one z-slice at a time: every series, then every
+    check, in ascending z.
+    """
+    top_d, top_t = _series_bound(core, numerators)
+    zs = sorted(set().union(*numerators))
+
+    def sides(z: int) -> list[_Slice]:
+        return [num.get(z, {}) for num in numerators]
+
+    total = {z: t for z in zs if (t := _slice_series(core, sides(z), top_d, (top_t - z) // 2))}
+    found = {z: d for z in zs if (d := _slice_check(core, [total.get(z, {})] + sides(z)))}
+    if not found:
         return total, None
-    exps, diff = witness
+    exps, diff = min(_substitute(found).terms.items(), key=lambda term: term[0][1:] + term[0][:1])
     return total, f"T*D - N has lowest term {diff} at (a, q, t) = {exps}"
 
 
@@ -676,7 +648,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         for f, num in zip(summand_framings, first):
             slices: _Slices = {}
             for z, terms in num.items():
-                acc: dict[tuple[int, int], int] = {}
+                acc: _Slice = {}
                 for (g_x, g_y, _), g in cofactors[f].terms.items():
                     for (x, y), c in terms.items():
                         acc[x + g_x, y + g_y] = acc.get((x + g_x, y + g_y), 0) + g * c

@@ -27,6 +27,8 @@ from .algebra import (
     LaurentPolynomial,
     Monomial,
     SubstitutionMap,
+    _digit_bias,
+    _digit_bytes,
     as_coeff,
     monomial_div,
     unit_monomial,
@@ -113,7 +115,7 @@ def _quo(f: ZPoly, d: ZPoly) -> ZPoly | None:
     if min(room) < 0:
         return None
     l1 = sum(map(abs, d.values()))
-    nbytes = (l1 * (isqrt(sum(c * c for c in f.values())) + 1) << sum(room)).bit_length() // 8 + 1
+    nbytes = _digit_bytes(l1 * (isqrt(sum(c * c for c in f.values())) + 1) << sum(room))
     w, half = 8 * nbytes, 1 << (8 * nbytes - 1)  # each bound above is below half
     strides = [w]  # the bit offset of one step in each variable
     for r in reversed(top[1:]):
@@ -126,8 +128,7 @@ def _quo(f: ZPoly, d: ZPoly) -> ZPoly | None:
     if rest:
         return None
     count = abs(v).bit_length() // w + 2
-    biased = v + half * int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * count, "little")
-    data = biased.to_bytes(count * nbytes, "little")  # each digit plus half: unsigned
+    data = (v + _digit_bias(count, nbytes)).to_bytes(count * nbytes, "little")
     radix = [count] + [r + 1 for r in top[1:]]
     u = {}
     for k in range(count):  # digit k starts at bit k * w

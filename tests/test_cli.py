@@ -1,5 +1,6 @@
 """Command line surface: output formats, exit codes, cache, fixtures."""
 
+import errno
 import json
 import os
 import shutil
@@ -77,6 +78,17 @@ def test_compute_raw_prints_content(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("content: ")
     assert lines[1].startswith("P(2,3) = ")
+
+
+def test_compute_raw_reads_the_cache(monkeypatch, capsys):
+    code, out, _ = run(capsys, "compute", "3", "4", "--raw")
+    assert code == 0 and len(out.splitlines()) == 2
+
+    def refuse(n, m):
+        raise AssertionError("compute ran on a cached knot")
+
+    monkeypatch.setattr(cli, "compute", refuse)
+    assert run(capsys, "compute", "3", "4", "--raw") == (0, out, "")
 
 
 def test_compute_raw_json_rejected(capsys):
@@ -278,3 +290,27 @@ def test_code_version_reads_the_sources_once(monkeypatch):
     monkeypatch.setattr(Path, "read_bytes", refuse)
     cli.cached_compute(2, 3)
     assert cli._code_version() == first
+
+
+def test_code_version_hashes_every_module(monkeypatch):
+    read = []
+    real = Path.read_bytes
+
+    def record(path):
+        read.append(path)
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", record)
+    cli._code_version.__wrapped__()
+    package = Path(cli.__file__).parent
+    assert read == sorted(package.glob("*.py"))
+    assert {path.name for path in read} >= {"cli.py", "invariant.py", "oracle.py", "algebra.py"}
+
+
+def test_cached_compute_removes_its_temp_file_on_a_failed_write(tmp_path, monkeypatch):
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full)
+    assert cli.cached_compute(2, 3).terms == compute(2, 3).terms
+    assert list((tmp_path / "cache").iterdir()) == []

@@ -1,5 +1,6 @@
 """End-to-end invariants: exact values, flags, specializations, families."""
 
+import ast
 import json
 import math
 import re
@@ -12,13 +13,13 @@ import pytest
 from torus_super import cli, invariant
 from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_product
 from torus_super.invariant import (
+    _checked_sum,
     _cone_step,
     _family_core,
-    _multiply_back,
     _normalized,
     _numerators,
     _series_bound,
-    _series_sum,
+    _slice_check,
     CalibrationError,
     GeneratingFunction,
     IntegrityError,
@@ -230,6 +231,12 @@ def _lowest_term(poly):
     return e, poly.terms[e]
 
 
+def _witness(failure):
+    """(exps, diff) named by _checked_sum's failure text."""
+    found = re.fullmatch(r"T\*D - N has lowest term (-?\d+) at \(a, q, t\) = (\(.*\))", failure)
+    return ast.literal_eval(found[2]), int(found[1])
+
+
 def test_nonpolynomial_witness_is_lowest_term_of_the_difference():
     # The witness is recomputed with plain products, apart from the packed check.
     # Up to n = 4 the whole difference is formed.  For the larger pairs only
@@ -241,8 +248,8 @@ def test_nonpolynomial_witness_is_lowest_term_of_the_difference():
         assert isinstance(result, NonPolynomial), (n, m)
         core = _family_core(n)
         numerators = _numerators(KnotRequest(n, m))
-        series = _series_sum(core, numerators, _series_bound(core, numerators))
-        witness = _multiply_back(core, series, numerators)
+        series, failure = _checked_sum(core, numerators)
+        witness = _witness(failure)
         q_max = None if n < 5 else witness[0][1]
         _, total = _generic_sides(n, m, q_max)
         exps, diff = _lowest_term(_times_denominator(_bold(series), n, q_max) - total)
@@ -278,13 +285,23 @@ def _corrupted(series, changes):
     return out
 
 
+def _failure_of(monkeypatch, core, numerators, series):
+    """_checked_sum's failure text when its slices of T are those of series:
+    _slice_series serves them in the ascending z order it is called in."""
+    zs = iter(sorted(set().union(*numerators)))
+    with monkeypatch.context() as patch:
+        patch.setattr(invariant, "_slice_series", lambda *_: series.get(next(zs), {}))
+        return _checked_sum(core, numerators)[1]
+
+
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 7), (4, 5), (5, 6)])
-def test_multiply_back_rejects_corrupted_series(n, m):
+def test_multiply_back_rejects_corrupted_series(monkeypatch, n, m):
     core = _family_core(n)
     numerators = _numerators(KnotRequest(n, m))
-    hi = _series_bound(core, numerators)
-    series = _series_sum(core, numerators, hi)
-    assert _multiply_back(core, series, numerators) is None
+    top_d, _ = _series_bound(core, numerators)
+    series, failure = _checked_sum(core, numerators)
+    assert failure is None
+    assert _failure_of(monkeypatch, core, numerators, series) is None
     # Corrupt the series at the Macdonald exponents of chosen bold terms.
     where = {
         MACD_TO_KNOT.image((x, y, z))[1]: (x, y, z)
@@ -296,15 +313,15 @@ def test_multiply_back_rejects_corrupted_series(n, m):
         x, y, z = where[e]
         for delta in (1, -1):
             bumped = _corrupted(series, {where[e]: delta})
-            assert _multiply_back(core, bumped, numerators) is not None, (e, delta)
+            assert _failure_of(monkeypatch, core, numerators, bumped) is not None, (e, delta)
         dropped = _corrupted(series, {where[e]: -series[z][x, y]})
         assert _bold(dropped) == LaurentPolynomial(KNOT, {u: v for u, v in terms if u != e})
-        assert _multiply_back(core, dropped, numerators) is not None, e
-    # hi is tight in q here, so truncating one step below it loses terms.
-    assert bold.max_exponents()[1] == hi[1]
-    short = {z: {(x, y): c for (x, y), c in terms.items() if 2 * (x + y) < hi[1]}
+        assert _failure_of(monkeypatch, core, numerators, dropped) is not None, e
+    # top_d is tight here, so truncating one step below it loses terms.
+    assert bold.max_exponents()[1] == 2 * top_d
+    short = {z: {(x, y): c for (x, y), c in terms.items() if x + y < top_d}
              for z, terms in series.items()}
-    assert _multiply_back(core, short, numerators) is not None
+    assert _failure_of(monkeypatch, core, numerators, short) is not None
 
 
 def _lattice_point(e):
@@ -314,7 +331,7 @@ def _lattice_point(e):
     return x, q // 2 - x
 
 
-def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order():
+def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order(monkeypatch):
     # T is corrupted by 3 at (x, y, z) = (0, 5, 0), bold (0, 10, 0), and by
     # -2 at (1, 0, 0), bold (0, 2, 2), both in the z = 0 slice, so
     # T*D - N = (3 x^(0,10,0) - 2 x^(0,2,2)) * D.  D starts with 1 and every
@@ -323,8 +340,8 @@ def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order():
     n, m = 3, 4
     core = _family_core(n)
     numerators = _numerators(KnotRequest(n, m))
-    series = _series_sum(core, numerators, _series_bound(core, numerators))
-    assert _multiply_back(core, series, numerators) is None
+    series, failure = _checked_sum(core, numerators)
+    assert failure is None
     corrupted = _corrupted(series, {(0, 5, 0): 3, (1, 0, 0): -2})
     assert _bold(corrupted) == _bold(series) + knot({(0, 10, 0): 3, (0, 2, 2): -2})
     _, total = _generic_sides(n, m)
@@ -332,7 +349,11 @@ def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order():
     packing_first = min((e for e in diff.terms if e[0] == 0), key=_lattice_point)
     assert (packing_first, diff.terms[packing_first]) == ((0, 10, 0), 3)
     assert _lowest_term(diff) == ((0, 2, 2), -2)
-    assert _multiply_back(core, corrupted, numerators) == ((0, 2, 2), -2)
+    failure = _failure_of(monkeypatch, core, numerators, corrupted)
+    assert _witness(failure) == ((0, 2, 2), -2)
+    # The slice reports the lowest digit of each x-row, both terms among them.
+    digits = _slice_check(core, [corrupted[0]] + [num.get(0, {}) for num in numerators])
+    assert (digits[0, 5], digits[1, 0]) == (3, -2)
 
 
 def test_denominators_lie_on_series_cone():
@@ -551,28 +572,33 @@ def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
 
 def _bump_numerator_order(monkeypatch, n, r, order):
     """Serve P_0..P_3 of the family from a memo in place of compute's body,
-    so each series sum left is a numerator order's, 1..p-1 in turn, and bump
-    order `order` as _bump_one_coefficient does.  The witness is then the
-    bumped term times the constant term 1 of D: the returned list receives
-    its bold image."""
+    so each _checked_sum left is a numerator order's, 1..p-1 in turn, and bump
+    order `order` as _bump_one_coefficient does, in the lowest z-slice of its
+    T.  The witness is then the bumped term times the constant term 1 of D:
+    the returned list receives its bold image."""
+    monkeypatch.undo()
     body = compute.__wrapped__
     known = {n * k + r: body(n, n * k + r) for k in range(4)}
     monkeypatch.setattr(compute, "__wrapped__", lambda n_, m: known[m])
-    real = invariant._series_sum
+    real_sum, real_series = invariant._checked_sum, invariant._slice_series
     calls, witness = [], []
 
-    def bumped(core, numerators, hi):
-        calls.append(hi)
-        total = real(core, numerators, hi)
-        if len(calls) != order:
-            return total
-        z = min(total)
-        x, y = max(total[z])
+    def counted(core, numerators):
+        calls.append(iter(sorted(set().union(*numerators))))  # the z of each slice
+        return real_sum(core, numerators)
+
+    def bumped(core, sides, top_d, top_x):
+        z = next(calls[-1])
+        terms = real_series(core, sides, top_d, top_x)
+        if len(calls) != order or witness or not terms:
+            return terms
+        x, y = max(terms)
         image = (2 * z, 2 * (x + y + 1), 2 * x + z)
         witness.append(f"lowest term {(-1) ** z} at (a, q, t) = {image}")
-        return _bump_one_coefficient(total)
+        return _bump_one_coefficient({z: terms})[z]
 
-    monkeypatch.setattr(invariant, "_series_sum", bumped)
+    monkeypatch.setattr(invariant, "_checked_sum", counted)
+    monkeypatch.setattr(invariant, "_slice_series", bumped)
     return witness
 
 
