@@ -757,6 +757,72 @@ def test_series_after_json_round_trip():
     _same_series(series, _naive_series(back, 8))
 
 
+def _assert_one_tuple_per_point(gf, k_max):
+    """The rows of gf.series(k_max) hold one key object per distinct point,
+    and at a numerator point it is the numerator's, from its lowest order."""
+    rows = [row.terms for row in gf.series(k_max)]
+    keys = [e for row in rows for e in row]
+    assert len({id(e) for e in keys}) == len(set(keys))
+    first = {}
+    for j, coeff in gf.numerator:
+        if j <= k_max:
+            for e in coeff.terms:
+                first.setdefault(e, e)
+    assert all(e is first[e] for e in keys if e in first)
+    return keys
+
+
+def test_series_rows_hold_one_tuple_per_point():
+    gf = generating_function(5, 4)
+    keys = _assert_one_tuple_per_point(gf, 8)
+    assert len(keys) > 3 * len(set(keys))  # 31 584 terms on 9 403 points
+    row_zero = gf.numerator[0][1].terms
+    assert {id(e) for e in row_zero} <= {id(e) for e in keys}
+    # The numerator orders share their points too: 1 336 terms on 1 011.
+    numerator_keys = [e for _, coeff in gf.numerator for e in coeff.terms]
+    assert len({id(e) for e in numerator_keys}) == len(set(numerator_keys)) < len(numerator_keys)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_series_rows_hold_one_tuple_per_point(name):
+    _assert_one_tuple_per_point(HAND_BUILT[name], 6)
+
+
+def test_numerator_orders_hold_one_tuple_per_point(monkeypatch):
+    # Every _checked_sum after the four calibration knots is a numerator
+    # order's; across its summands' slices each (x, y) is one object.
+    real, orders = invariant._checked_sum, []
+
+    def captured(core, numerators):
+        orders.append(numerators)
+        return real(core, numerators)
+
+    monkeypatch.setattr(invariant, "_checked_sum", captured)
+    gf = generating_function(4, 1)
+    assert len(orders) == 4 + len(gf.poles) - 1
+    for numerators in orders[4:]:
+        keys = [e for num in numerators for terms in num.values() for e in terms]
+        assert len(keys) > len(set(keys))
+        assert len({id(e) for e in keys}) == len(set(keys))
+
+
+def test_generating_function_json_rejects_a_malformed_pole():
+    data = json.loads(generating_function_to_json(generating_function(2, 1)))
+    data["denominator"].append([0, 4])
+    message = f"pole {len(data['denominator']) - 1} has 2 exponents, expected 3 (a, q, t)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generating_function_from_json(json.dumps(data))
+
+
+def test_generating_function_json_rejects_a_malformed_term_row():
+    data = json.loads(generating_function_to_json(generating_function(3, 1)))
+    j, rows = data["numerator"][-1]
+    rows[1] = rows[1][:3]
+    message = f"numerator order z^{j}: term row 1 has 3 fields, expected 4 [a, q, t, c]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generating_function_from_json(json.dumps(data))
+
+
 def test_generating_function_rejects_bad_families():
     with pytest.raises(ValueError):
         generating_function(4, 2)
