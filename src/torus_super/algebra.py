@@ -113,6 +113,15 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, alphabet: Alphabet, terms: dict[Monomial, Coeff]) -> "LaurentPolynomial":
+        """The polynomial that takes over terms already clean: keys of the
+        alphabet's arity, coefficients normalized by as_coeff and nonzero."""
+        out = cls.__new__(cls)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, alphabet: Alphabet) -> "LaurentPolynomial":
         return cls(alphabet)
 
@@ -171,9 +180,7 @@ class LaurentPolynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial.zero(self.alphabet)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPolynomial._of(self.alphabet, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
@@ -186,9 +193,7 @@ class LaurentPolynomial:
                 merged[e] = as_coeff(total)
             else:
                 merged.pop(e, None)
-        out = LaurentPolynomial.zero(self.alphabet)
-        out.terms = merged
-        return out
+        return LaurentPolynomial._of(self.alphabet, merged)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
@@ -198,10 +203,8 @@ class LaurentPolynomial:
     def __mul__(self, other: Union["LaurentPolynomial", Coeff]) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
             scale = as_coeff(other)
-            out = LaurentPolynomial.zero(self.alphabet)
-            if scale:
-                out.terms = {e: as_coeff(c * scale) for e, c in self.terms.items()}
-            return out
+            terms = {e: as_coeff(c * scale) for e, c in self.terms.items()} if scale else {}
+            return LaurentPolynomial._of(self.alphabet, terms)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         _check_same_alphabet(self, other)
@@ -218,9 +221,7 @@ class LaurentPolynomial:
                     acc[e] = total
                 else:
                     acc.pop(e, None)
-        out = LaurentPolynomial.zero(self.alphabet)
-        out.terms = {e: as_coeff(c) for e, c in acc.items()}
-        return out
+        return LaurentPolynomial._of(self.alphabet, {e: as_coeff(c) for e, c in acc.items()})
 
     __rmul__ = __mul__
 
@@ -231,14 +232,13 @@ class LaurentPolynomial:
         """
         mono = tuple(mono)
         scale = as_coeff(coeff)
-        out = LaurentPolynomial.zero(self.alphabet)
         if scale == 1:
-            out.terms = {monomial_mul(e, mono): c for e, c in self.terms.items()}
+            terms = {monomial_mul(e, mono): c for e, c in self.terms.items()}
         elif scale:
-            out.terms = {
-                monomial_mul(e, mono): as_coeff(c * scale) for e, c in self.terms.items()
-            }
-        return out
+            terms = {monomial_mul(e, mono): as_coeff(c * scale) for e, c in self.terms.items()}
+        else:
+            terms = {}
+        return LaurentPolynomial._of(self.alphabet, terms)
 
     # -- substitution --------------------------------------------------------
 
@@ -255,9 +255,7 @@ class LaurentPolynomial:
                 acc[image] = total
             else:
                 acc.pop(image, None)
-        out = LaurentPolynomial.zero(sub.target)
-        out.terms = {e: as_coeff(c) for e, c in acc.items()}
-        return out
+        return LaurentPolynomial._of(sub.target, {e: as_coeff(c) for e, c in acc.items()})
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -312,9 +310,8 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     _check_same_alphabet(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    out = LaurentPolynomial.zero(f.alphabet)
     if f.is_zero():
-        return out
+        return LaurentPolynomial.zero(f.alphabet)
 
     content_f = f.content()
     content_g = g.content()
@@ -353,8 +350,8 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     if rem:
         raise NonDivisibleError("nonzero remainder")
     shift = monomial_div(content_f, content_g)
-    out.terms = {monomial_mul(e, shift): as_coeff(c) for e, c in quotient.items()}
-    return out
+    terms = {monomial_mul(e, shift): as_coeff(c) for e, c in quotient.items()}
+    return LaurentPolynomial._of(f.alphabet, terms)
 
 
 class SubstitutionMap:
@@ -535,6 +532,22 @@ def expand_binomial_product(
                 else:
                     nxt.pop(shifted, None)
             acc = nxt
-    out = LaurentPolynomial.zero(start.alphabet)
-    out.terms = {e: as_coeff(c) for e, c in acc.items()}
-    return out
+    return LaurentPolynomial._of(start.alphabet, {e: as_coeff(c) for e, c in acc.items()})
+
+
+def elementary_symmetric(
+    alphabet: Alphabet, weights: Iterable[Monomial], top: int
+) -> list[LaurentPolynomial]:
+    """The elementary symmetric polynomials e_0 .. e_top of the monomials in
+    weights, repeats counted, by one Pascal pass: each weight w turns every
+    e_s, s downward, into e_s + w * e_(s-1).  Orders above the number of
+    weights are 0.  Every coefficient counts subsets, so none cancels.
+    """
+    rows: list[dict[Monomial, Coeff]] = [{unit_monomial(alphabet): 1}] + [{} for _ in range(top)]
+    for w in weights:
+        for s in range(top, 0, -1):
+            row = rows[s]
+            for exps, c in rows[s - 1].items():
+                e = monomial_mul(exps, w)
+                row[e] = row.get(e, 0) + c
+    return [LaurentPolynomial._of(alphabet, row) for row in rows]

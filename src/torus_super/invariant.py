@@ -32,7 +32,7 @@ import inspect
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
@@ -49,6 +49,7 @@ from .algebra import (
     _digit_bias,
     _digit_bytes,
     as_coeff,
+    elementary_symmetric,
     expand_binomial_product,
     monomial_div,
     monomial_mul,
@@ -95,10 +96,16 @@ class CalibrationError(RuntimeError):
     """A generating function could not be certified or normalized."""
 
 
+def _check_ints(what: str, *values: object) -> None:
+    """TypeError "{what}, got ..." unless every value is an int; a bool is not one."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
+        got = ", ".join(map(repr, values))
+        raise TypeError(f"{what}, got {got if len(values) == 1 else f'({got})'}")
+
+
 def _check_positive(names: str, n: object, m: object) -> None:
-    """Reject a pair that is not two positive integers; a bool is not one."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n, m)):
-        raise TypeError(f"{names} must be integers, got ({n!r}, {m!r})")
+    """Reject a pair that is not two positive integers."""
+    _check_ints(f"{names} must be integers", n, m)
     if n < 1 or m < 1:
         raise ValueError(f"{names} must be positive, got ({n}, {m})")
 
@@ -318,18 +325,11 @@ def _substitute(slices: _Slices, content: Monomial = (0, 0, 0)) -> LaurentPolyno
     """The bold image in (a, q, t) divided by x^content, term by term:
     q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z)."""
     c_a, c_q, c_t = content
-    return _knot({
+    return LaurentPolynomial._of(KNOT, {
         (2 * z - c_a, 2 * (x + y) - c_q, 2 * x + z - c_t): -c if z % 2 else c
         for z, terms in slices.items()
         for (x, y), c in terms.items()
     })
-
-
-def _knot(terms: dict[Monomial, Coeff]) -> LaurentPolynomial:
-    """The (a, q, t) polynomial that takes over terms, none of them zero."""
-    out = LaurentPolynomial.zero(KNOT)
-    out.terms = terms
-    return out
 
 
 def _series_bound(core: _FamilyCore, numerators: list[_Slices]) -> tuple[int, int]:
@@ -577,8 +577,7 @@ class GeneratingFunction:
         grows with the terms plus the distinct points, not with a tuple per
         term.
         """
-        if isinstance(k_max, bool) or not isinstance(k_max, int):
-            raise TypeError(f"series order must be an integer, got {k_max!r}")
+        _check_ints("series order must be an integer", k_max)
         if k_max < 0:
             raise ValueError(f"series order must be non-negative, got {k_max}")
         points: dict[Monomial, Monomial] = {}
@@ -604,14 +603,14 @@ class GeneratingFunction:
                         into[key] = total
                     else:
                         into[key] = as_coeff(total)
-        return [_knot(terms) for terms in out]
+        return [LaurentPolynomial._of(KNOT, terms) for terms in out]
 
 
 def _check_family(n: int, r: int) -> None:
     """Reject a family m = nk + r that has no generating function here."""
     _check_positive("n and r", n, r)
     if r >= n:
-        raise ValueError("need 1 <= r < n")
+        raise ValueError(f"need 1 <= r < n, got (n, r) = ({n}, {r})")
     if math.gcd(n, r) != 1:
         raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
 
@@ -654,14 +653,10 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
     nu = steps.pop()
 
-    # The orders e_j of E(z) = prod_f (1 - z*f), by a downward pass per f.
-    # The cofactor [z^j] prod_{g != f} (1 - z*g) of framing f is then
-    # c_j(f) = f * c_(j-1)(f) + e_j with c_0(f) = 1, one order at a time.
-    elementary = [LaurentPolynomial.one(MACD)]
-    for f_x, f_y in framings:
-        elementary.append(LaurentPolynomial.zero(MACD))
-        for j in range(len(elementary) - 1, 0, -1):
-            elementary[j] = elementary[j] - elementary[j - 1].shifted((f_x, f_y, 0))
+    # The orders E_j = (-1)^j e_j(framings) of E(z) = prod_f (1 - z*f), by the
+    # Pascal pass.  The cofactor [z^j] prod_{g != f} (1 - z*g) of framing f is
+    # then c_j(f) = f * c_(j-1)(f) + E_j with c_0(f) = 1, one order at a time.
+    elementary = elementary_symmetric(MACD, [(*f, 0) for f in framings], len(framings) - 1)
     cofactors = dict.fromkeys(framings, elementary[0])
     first = _numerators(KnotRequest(n, r))
     numerator = [(0, known[0].terms)]
@@ -670,7 +665,8 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     knot_points = {e: e for e in known[0].terms.terms}
     for j in range(1, len(framings)):
         points: dict[tuple[int, int], tuple[int, int]] = {}
-        cofactors = {f: c.shifted((*f, 0)) + elementary[j] for f, c in cofactors.items()}
+        e_j = -elementary[j] if j % 2 else elementary[j]
+        cofactors = {f: c.shifted((*f, 0)) + e_j for f, c in cofactors.items()}
         numerators = []
         for f, num in zip(summand_framings, first):
             slices: _Slices = {}
@@ -694,14 +690,13 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
         if total:
             content = tuple(c + j * v for c, v in zip(known[0].content, nu))
             image = _substitute(total, content).terms
-            numerator.append((j, _knot({knot_points.setdefault(e, e): c for e, c in image.items()})))
+            image = {knot_points.setdefault(e, e): c for e, c in image.items()}
+            numerator.append((j, LaurentPolynomial._of(KNOT, image)))
     gf = GeneratingFunction(
         n=n,
         r=r,
         numerator=tuple(numerator),
-        poles=tuple(sorted(
-            monomial_div(MACD_TO_KNOT.image((f_x, f_y, 0))[1], nu) for f_x, f_y in framings
-        )),
+        poles=tuple(sorted(_substitute({0: dict.fromkeys(framings, 1)}, nu).terms)),
     )
     for k, (got, want) in enumerate(zip(gf.series(3), known)):
         if got != want.terms:
@@ -734,17 +729,9 @@ class ScanReport:
         return all(row.status in ("ok", "nonpolynomial") for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["n,m,gcd,status,a_max,q_max,t_max,term_count,millis"]
+        lines = [",".join(f.name for f in fields(ScanRow))]
         for row in self.rows:
-            degree_fields = [
-                "" if v is None else str(v)
-                for v in (row.a_max, row.q_max, row.t_max, row.term_count)
-            ]
-            lines.append(
-                f"{row.n},{row.m},{row.gcd},{row.status},"
-                + ",".join(degree_fields)
-                + f",{row.millis}"
-            )
+            lines.append(",".join("" if v is None else str(v) for v in astuple(row)))
         return "\n".join(lines) + "\n"
 
 
@@ -778,8 +765,7 @@ def _scan_one(n: int, m: int) -> ScanRow:
 
 def _check_scan(n_max: int, m_max: int) -> None:
     """Reject bounds that are not integers or that sweep no pair."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n_max, m_max)):
-        raise TypeError(f"scan bounds must be integers, got ({n_max!r}, {m_max!r})")
+    _check_ints("scan bounds must be integers", n_max, m_max)
     if n_max < 2 or m_max < 3:
         raise ValueError(f"no pair 2 <= n <= {n_max}, n < m <= {m_max} to scan")
 
@@ -843,12 +829,18 @@ def generating_function_to_json(gf: GeneratingFunction) -> str:
 
 
 def generating_function_from_json(text: str) -> GeneratingFunction:
-    """Inverse of generating_function_to_json.  A pole of other than 3
-    exponents or a malformed term row is a ValueError naming where it is."""
+    """Inverse of generating_function_to_json.  A negative or repeated
+    numerator order, a pole of other than 3 exponents or a malformed term
+    row is a ValueError naming where it is."""
     data = json.loads(text)
     numerator = tuple(
         (int(j), _from_rows(rows, f"numerator order z^{j}: ")) for j, rows in data["numerator"]
     )
+    for i, (j, _) in enumerate(numerator):
+        if j < 0:
+            raise ValueError(f"numerator order z^{j} is negative")
+        if any(k == j for k, _ in numerator[:i]):
+            raise ValueError(f"numerator order z^{j} appears more than once")
     for i, p in enumerate(data["denominator"]):
         if len(p) != 3:
             raise ValueError(f"pole {i} has {len(p)} exponents, expected 3 (a, q, t)")

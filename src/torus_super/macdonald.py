@@ -12,7 +12,7 @@ and cancel symbolically.
 
 from __future__ import annotations
 
-from .algebra import MACD, FactoredRational, LaurentPolynomial, Monomial
+from .algebra import MACD, FactoredRational, LaurentPolynomial, Monomial, elementary_symmetric
 from .partitions import Partition, cell_data, check_partition, size, transpose
 
 # Exponent vector layout over MACD: (q, t, A).
@@ -51,27 +51,9 @@ def cell_elementary(y: Partition, r: int) -> LaurentPolynomial:
     y = check_partition(y)
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    n = size(y)
-    if r > n:
+    if r > size(y):
         return LaurentPolynomial.zero(MACD)
-    # Row of Pascal-style DP: e[s] after absorbing each cell weight.
-    rows: list[dict[Monomial, int]] = [dict() for _ in range(r + 1)]
-    rows[0][(0, 0, 0)] = 1
-    for i, j, _, _ in cell_data(y):
-        w = (-j, i, 0)
-        for s in range(min(r, n), 0, -1):
-            lower = rows[s - 1]
-            if not lower:
-                continue
-            target = rows[s]
-            for exps, c in lower.items():
-                e = (exps[0] + w[0], exps[1] + w[1], 0)
-                total = target.get(e, 0) + c
-                if total:
-                    target[e] = total
-                else:
-                    target.pop(e, None)
-    return LaurentPolynomial(MACD, rows[r])
+    return elementary_symmetric(MACD, [(-j, i, 0) for i, j, _, _ in cell_data(y)], r)[r]
 
 
 def macdonald_dimension(y: Partition) -> FactoredRational:

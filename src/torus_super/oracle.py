@@ -193,9 +193,8 @@ def _cleared(p: LaurentPolynomial) -> tuple[Coeff, Monomial, ZPoly]:
 
 def _lifted(p: ZPoly, unit: Coeff = 1, shift: Monomial = (0, 0)) -> LaurentPolynomial:
     """``unit * q^a * t^b * p`` for ``shift = (a, b)``, the inverse of :func:`_cleared`."""
-    out = LaurentPolynomial.zero(QT)
-    out.terms = {(i + shift[0], j + shift[1]): as_coeff(c * unit) for (i, j), c in p.items()}
-    return out
+    terms = {(i + shift[0], j + shift[1]): as_coeff(c * unit) for (i, j), c in p.items()}
+    return LaurentPolynomial._of(QT, terms)
 
 
 def _gcd_terms(

@@ -823,12 +823,26 @@ def test_generating_function_json_rejects_a_malformed_term_row():
         generating_function_from_json(json.dumps(data))
 
 
+def test_generating_function_json_rejects_a_negative_or_repeated_order():
+    # Before the check, z^-1 wrote P_0's term into the last series row and a
+    # repeated order silently replaced the first copy.
+    data = json.loads(generating_function_to_json(generating_function(2, 1)))
+    rows = data["numerator"][0][1]
+    for numerator, message in (
+        ([[-1, rows]], "numerator order z^-1 is negative"),
+        ([[0, rows], [0, rows]], "numerator order z^0 appears more than once"),
+    ):
+        data["numerator"] = numerator
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generating_function_from_json(json.dumps(data))
+
+
 def test_generating_function_rejects_bad_families():
     with pytest.raises(ValueError):
         generating_function(4, 2)
     with pytest.raises(ValueError, match=re.escape("n and r must be positive, got (3, 0)")):
         generating_function(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need 1 <= r < n, got (n, r) = (3, 3)")):
         generating_function(3, 3)
     with pytest.raises(TypeError, match=re.escape("n and r must be integers, got (3, True)")):
         generating_function(3, True)
@@ -876,3 +890,17 @@ def test_scan_statuses():
     assert report.all_expected
     header = report.to_csv().splitlines()[0]
     assert header == "n,m,gcd,status,a_max,q_max,t_max,term_count,millis"
+
+
+def test_scan_csv_rows_are_whole():
+    # Every field in ScanRow order, None as an empty field; millis masked.
+    lines = scan(3, 5).to_csv().splitlines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        "n,m,gcd,status,a_max,q_max,t_max,term_count",
+        "2,3,1,ok,2,4,3,3",
+        "2,4,2,nonpolynomial,,,,",
+        "2,5,1,ok,2,8,5,5",
+        "3,4,1,ok,4,12,8,11",
+        "3,5,1,ok,4,16,10,16",
+    ]
+    assert all(line.rsplit(",", 1)[1].isdigit() for line in lines[1:])

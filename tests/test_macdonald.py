@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from torus_super.algebra import MACD, FactoredRational, LaurentPolynomial
+from torus_super.algebra import MACD, FactoredRational, LaurentPolynomial, elementary_symmetric
 from torus_super.macdonald import (
     cauchy_norm,
     cell_elementary,
@@ -56,16 +56,27 @@ def test_cell_elementary_top_degree_is_framing():
             assert top == poly({framing_factor(y): 1})
 
 
+def _subset_sums(weights, r):
+    expected = {}
+    for combo in itertools.combinations(weights, r):
+        exps = tuple(map(sum, zip((0, 0, 0), *combo))) if combo else (0, 0, 0)
+        expected[exps] = expected.get(exps, 0) + 1
+    return poly(expected)
+
+
 def test_cell_elementary_matches_subset_sums():
     for n in range(1, 6):
         for y in enumerate_partitions(n):
             weights = [(-j, i, 0) for i, j in cells(y)]
             for r in range(n + 1):
-                expected = {}
-                for combo in itertools.combinations(weights, r):
-                    exps = tuple(map(sum, zip((0, 0, 0), *combo))) if combo else (0, 0, 0)
-                    expected[exps] = expected.get(exps, 0) + 1
-                assert cell_elementary(y, r) == poly(expected)
+                assert cell_elementary(y, r) == _subset_sums(weights, r)
+    # cell_elementary reads one order of the Pascal pass; check them all, with
+    # a repeated weight and one order above the weight count.
+    weights = [(-1, 1, 0), (2, 0, 1), (-1, 1, 0), (0, 0, 0), (3, -2, 0)]
+    orders = elementary_symmetric(MACD, weights, len(weights) + 1)
+    assert orders[:-1] == [_subset_sums(weights, r) for r in range(len(weights) + 1)]
+    assert orders[1].coefficient((-1, 1, 0)) == 2
+    assert orders[-1].is_zero()
 
 
 def test_cell_elementary_generating_identity():
