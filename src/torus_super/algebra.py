@@ -85,28 +85,19 @@ class LaurentPolynomial:
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        terms: Union[Mapping[Monomial, Coeff], Iterable[tuple[Monomial, Coeff]]] = (),
-    ):
+    def __init__(self, alphabet: Alphabet, terms: Mapping[Monomial, Coeff]):
         alphabet = tuple(alphabet)
         arity = len(alphabet)
         clean: dict[Monomial, Coeff] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
+        for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != arity:
                 raise AlphabetMismatchError(
                     f"exponent vector {exps} has arity {len(exps)}, alphabet needs {arity}"
                 )
             c = as_coeff(coeff)
-            if exps in clean:
-                c = as_coeff(clean[exps] + c)
             if c:
                 clean[exps] = c
-            else:
-                clean.pop(exps, None)
         self.alphabet = alphabet
         self.terms = clean
 
@@ -123,7 +114,7 @@ class LaurentPolynomial:
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "LaurentPolynomial":
-        return cls(alphabet)
+        return cls(alphabet, {})
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "LaurentPolynomial":
@@ -278,7 +269,7 @@ def format_polynomial(p: LaurentPolynomial) -> str:
                 atoms.append(f"{name}^{e}")
         mono = "*".join(atoms)
         if not mono:
-            body = str(abs(c) if isinstance(c, int) else abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:

@@ -33,6 +33,7 @@ from .invariant import (
     superpolynomial_from_json,
     superpolynomial_to_json,
     _check_family,
+    _check_ints,
     _check_scan,
 )
 from .partitions import enumerate_partitions
@@ -83,8 +84,9 @@ def cached_compute(n: int, m: int):
     try:
         entry = json.loads(path.read_text())
         hit = superpolynomial_from_json(entry["superpolynomial"])
+        _check_ints("cache entry content must be integers", *entry["content"])
         if (hit.n, hit.m) == (n, m):
-            return replace(hit, content=tuple(int(x) for x in entry["content"]))
+            return replace(hit, content=tuple(entry["content"]))
     except Exception:
         pass  # miss, stale key, or corrupt entry; recompute
     result = compute(n, m)
@@ -152,11 +154,6 @@ def emit_latex(p: LaurentPolynomial) -> str:
     return "\n".join(lines)
 
 
-def _format_monomial(exps) -> str:
-    single = LaurentPolynomial(KNOT, {tuple(exps): 1})
-    return format_polynomial(single)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -186,7 +183,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(superpolynomial_to_json(result))
         return EXIT_OK
     if args.raw:
-        print(f"content: {_format_monomial(result.content)}")
+        print(f"content: {format_polynomial(LaurentPolynomial(KNOT, {result.content: 1}))}")
     if args.latex:
         print(emit_latex(result.terms))
     elif args.grouped:
@@ -196,14 +193,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fixture_dir(args: argparse.Namespace) -> Path:
-    if args.fixtures:
-        return Path(args.fixtures)
-    return Path(__file__).parent / "fixtures"
-
-
 def cmd_verify_corpus(args: argparse.Namespace) -> int:
-    directory = _fixture_dir(args)
+    directory = Path(args.fixtures) if args.fixtures else Path(__file__).parent / "fixtures"
     failures = 0
     for n, m in CORPUS_PAIRS:
         path = directory / f"{n}_{m}.json"
@@ -230,37 +221,33 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
 def cmd_verify_oracle(args: argparse.Namespace) -> int:
     from . import oracle
 
-    cap = args.max_size
-    checks: list[tuple[str, object]] = []
-    for n in range(1, cap + 1):
-        checks.append((f"orthogonality degree {n}", lambda n=n: oracle.verify_orthogonality(n)))
-        checks.append((f"power-sum expansion degree {n}", lambda n=n: oracle.verify_power_sum_expansion(n)))
-    for n in range(1, cap + 1):
-        for y in enumerate_partitions(n):
-            checks.append(
-                (f"principal specialization {y}", lambda y=y: all(
-                    oracle.verify_dimension(y, nv) for nv in (3, 4, 5)
-                ))
-            )
-            checks.append((f"expansion limit {y}", lambda y=y: oracle.verify_expansion_limit(y)))
-            if n <= 3:
-                checks.append((f"schur degeneration {y}", lambda y=y: oracle.verify_schur_degeneration(y)))
-    for d in range(1, min(3, cap) + 1):
-        checks.append((f"kernel identity order {d}", lambda d=d: oracle.verify_cauchy(d, d, d)))
-        checks.append(
-            (f"kernel identity order {d}, principal L=5",
-             lambda d=d: oracle.verify_cauchy(d, d, 0, principal_l=5))
-        )
     failures = 0
-    for label, check in checks:
+
+    def run(label: str, check, *check_args, **check_kwargs) -> None:
+        nonlocal failures
         try:
-            ok = check()
+            ok = check(*check_args, **check_kwargs)
         except (ArithmeticError, AssertionError) as err:  # a gcd cap or a failed invariant
             print(f"FAIL {label}: {err}")
             ok = False
         else:
             print(("ok " if ok else "FAIL ") + label)
         failures += 0 if ok else 1
+
+    cap = args.max_size
+    for n in range(1, cap + 1):
+        run(f"orthogonality degree {n}", oracle.verify_orthogonality, n)
+        run(f"power-sum expansion degree {n}", oracle.verify_power_sum_expansion, n)
+    for n in range(1, cap + 1):
+        for y in enumerate_partitions(n):
+            run(f"principal specialization {y}",
+                lambda: all(oracle.verify_dimension(y, nv) for nv in (3, 4, 5)))
+            run(f"expansion limit {y}", oracle.verify_expansion_limit, y)
+            if n <= 3:
+                run(f"schur degeneration {y}", oracle.verify_schur_degeneration, y)
+    for d in range(1, min(3, cap) + 1):
+        run(f"kernel identity order {d}", oracle.verify_cauchy, d, d, d)
+        run(f"kernel identity order {d}, principal L=5", oracle.verify_cauchy, d, d, 0, principal_l=5)
     return EXIT_MISMATCH if failures else EXIT_OK
 
 

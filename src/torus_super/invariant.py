@@ -28,7 +28,6 @@ are substituted into (a, q, t); the series runs on their (a, q, t) terms.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from collections import Counter
@@ -98,9 +97,10 @@ class CalibrationError(RuntimeError):
 
 def _check_ints(what: str, *values: object) -> None:
     """TypeError "{what}, got ..." unless every value is an int; a bool is not one."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
-        got = ", ".join(map(repr, values))
-        raise TypeError(f"{what}, got {got if len(values) == 1 else f'({got})'}")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int):
+            got = ", ".join(map(repr, values))
+            raise TypeError(f"{what}, got {got if len(values) == 1 else f'({got})'}")
 
 
 def _check_positive(names: str, n: object, m: object) -> None:
@@ -475,21 +475,25 @@ def verify_properties(result: Union[Superpolynomial, LaurentPolynomial]) -> Prop
 def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     """The normalized (n, m) torus-knot invariant, or NonPolynomial.
 
-    Each summand n_Y / D_Y is expanded as a power series truncated at hi,
-    and the series add up to T.  The multiply-back certificate then compares
-    T * D with N = sum_Y n_Y * (D / D_Y) exactly, D the lcm of the D_Y.  If
-    they are equal, T is the invariant.  If not, the sum is not a polynomial
-    (a polynomial sum lies under hi, so T would be it); this happens exactly
-    when gcd(n, m) > 1, and the reason names the lowest term of T * D - N.
-    All of this runs on Macdonald exponents; only the finished T is
-    substituted into (a, q, t) and normalized, by _normalized.  Results are
-    immutable and memoized; inspect.unwrap(compute) is the body without the memo.
+    Each summand n_Y / D_Y is expanded as a power series truncated at
+    _series_bound's limits of x + y and 2x + z, and the series add up to T.
+    The multiply-back certificate then compares T * D with
+    N = sum_Y n_Y * (D / D_Y) exactly, D the lcm of the D_Y.  If they are
+    equal, T is the invariant.  If not, the sum is not a polynomial (a
+    polynomial sum lies under those limits, so T would be it); this happens
+    exactly when gcd(n, m) > 1, and the reason names the lowest term of
+    T * D - N.  All of this runs on Macdonald exponents; only the finished T
+    is substituted into (a, q, t) and normalized, by _normalized.  Results
+    are immutable and memoized; _compute is the body without the memo.
     """
     req = KnotRequest(n, m)
     total, failure = _checked_sum(_family_core(n), _numerators(req))
     if failure is not None:
         return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=f"multiply-back check failed: {failure}")
     return _normalized(n, m, total)
+
+
+_compute = compute.__wrapped__
 
 
 def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices, str | None]:
@@ -644,8 +648,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     framings = set(summand_framings)
     known = []
     for k in range(4):
-        # The body past every wrapper, the memo and any tracer's: nothing is cached.
-        known.append(inspect.unwrap(compute)(n, n * k + r))
+        known.append(_compute(n, n * k + r))  # past the memo: nothing is cached
         if isinstance(known[k], NonPolynomial):
             raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
     steps = {monomial_div(known[k + 1].content, known[k].content) for k in range(3)}
@@ -791,12 +794,23 @@ def _to_rows(p: LaurentPolynomial) -> list[list]:
 
 
 def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
-    """Inverse of _to_rows; a row of other than 4 fields is a ValueError
-    that names its index, after the prefix where."""
+    """Inverse of _to_rows.  A row of other than 4 fields, an exponent that
+    is not an integer, a coefficient that is neither a string nor an integer
+    or a row that repeats an earlier row's exponents is a ValueError or
+    TypeError that names the row's index, after the prefix where."""
+    terms: dict[Monomial, Coeff] = {}
     for i, row in enumerate(rows):
         if len(row) != 4:
             raise ValueError(f"{where}term row {i} has {len(row)} fields, expected 4 [a, q, t, c]")
-    return LaurentPolynomial(KNOT, [((int(a), int(q), int(t)), Fraction(c)) for a, q, t, c in rows])
+        a, q, t, c = row
+        _check_ints(f"{where}term row {i} exponents must be integers", a, q, t)
+        if isinstance(c, bool) or not isinstance(c, (str, int)):
+            raise TypeError(f"{where}term row {i} coefficient must be a string or an integer, got {c!r}")
+        exps = (a, q, t)
+        if exps in terms:
+            raise ValueError(f"{where}term row {i} repeats the exponents {exps}")
+        terms[exps] = Fraction(c)
+    return LaurentPolynomial(KNOT, terms)
 
 
 def superpolynomial_to_json(sp: Superpolynomial) -> str:
@@ -809,12 +823,13 @@ def superpolynomial_from_json(text: str) -> Superpolynomial:
     """Inverse of superpolynomial_to_json; the canonical form stores no
     content, so the result's content is the unit monomial."""
     data = json.loads(text)
+    _check_ints("n and m must be integers", data["n"], data["m"])
     poly = _from_rows(data["terms"])
     if not data.get("normalized", False):
         raise ValueError("only normalized invariants are serialized")
     return Superpolynomial(
-        n=int(data["n"]),
-        m=int(data["m"]),
+        n=data["n"],
+        m=data["m"],
         terms=poly,
         content=unit_monomial(KNOT),
         flags=verify_properties(poly),
@@ -829,20 +844,23 @@ def generating_function_to_json(gf: GeneratingFunction) -> str:
 
 
 def generating_function_from_json(text: str) -> GeneratingFunction:
-    """Inverse of generating_function_to_json.  A negative or repeated
-    numerator order, a pole of other than 3 exponents or a malformed term
-    row is a ValueError naming where it is."""
+    """Inverse of generating_function_to_json.  A value that should be an
+    integer and is not, a negative or repeated numerator order, a pole of
+    other than 3 exponents or a malformed term row is a TypeError or
+    ValueError naming where it is."""
     data = json.loads(text)
-    numerator = tuple(
-        (int(j), _from_rows(rows, f"numerator order z^{j}: ")) for j, rows in data["numerator"]
-    )
-    for i, (j, _) in enumerate(numerator):
+    _check_ints("n and r must be integers", data["n"], data["r"])
+    numerator = []
+    for i, (j, rows) in enumerate(data["numerator"]):
+        _check_ints(f"numerator entry {i} order must be an integer", j)
         if j < 0:
             raise ValueError(f"numerator order z^{j} is negative")
-        if any(k == j for k, _ in numerator[:i]):
+        if any(k == j for k, _ in numerator):
             raise ValueError(f"numerator order z^{j} appears more than once")
+        numerator.append((j, _from_rows(rows, f"numerator order z^{j}: ")))
     for i, p in enumerate(data["denominator"]):
         if len(p) != 3:
             raise ValueError(f"pole {i} has {len(p)} exponents, expected 3 (a, q, t)")
-    poles = tuple(tuple(int(x) for x in p) for p in data["denominator"])
-    return GeneratingFunction(n=int(data["n"]), r=int(data["r"]), numerator=numerator, poles=poles)
+        _check_ints(f"pole {i} exponents must be integers", *p)
+    poles = tuple(map(tuple, data["denominator"]))
+    return GeneratingFunction(n=data["n"], r=data["r"], numerator=tuple(numerator), poles=poles)

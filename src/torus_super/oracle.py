@@ -382,7 +382,7 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return RationalFunction.const(0)
+            return RF_ZERO
         _, n1, d2 = _gcd_terms(self.num, other.den)
         _, n2, d1 = _gcd_terms(other.num, self.den)
         return RationalFunction._coprime(n1 * n2, d1 * d2)
@@ -524,7 +524,7 @@ def m_vector_to_p_vector(n: int, coeffs: Sequence[RationalFunction]) -> list[Rat
     inv = _monomial_to_power_inverse(n)
     out = []
     for row in inv:
-        total = RationalFunction.const(0)
+        total = RF_ZERO
         for scalar, rf in zip(row, coeffs):
             if scalar and not rf.is_zero():
                 total = total + rf.scale(scalar)
@@ -636,7 +636,7 @@ def macdonald_P_mbasis(y: Partition) -> dict[Partition, RationalFunction]:
 def principal_value(y: Partition, num_vars: int) -> RationalFunction:
     """P_y at x_i = t^(i-1) for i = 1 .. num_vars, computed from the m-basis."""
     y = check_partition(y)
-    total = RationalFunction.const(0)
+    total = RF_ZERO
     for mu, c in macdonald_P_mbasis(y).items():
         if len(mu) > num_vars:
             continue

@@ -206,7 +206,7 @@ def test_factored_multiplication_cancels():
         FactoredRational(MACD, factors={(0, 0, 0): 1})
 
 
-def test_sum_rationals_cancellation():
+def test_expand_over_a_common_denominator_cancels():
     # 1/(1 - q) - 1/(1 - q): over the lcm (1 - q) the numerators are 1 and -1.
     plus = FactoredRational(MACD, factors={(1, 0, 0): -1})
     minus = FactoredRational(MACD, coeff=-1, factors={(1, 0, 0): -1})
@@ -218,7 +218,7 @@ def test_sum_rationals_cancellation():
     assert den_plus == den_minus == LaurentPolynomial.one(MACD)
 
 
-def test_sum_rationals_distinct_denominators():
+def test_expand_over_a_common_denominator_of_distinct_binomials():
     over_q = FactoredRational(MACD, factors={(1, 0, 0): -1})
     over_t = FactoredRational(MACD, factors={(0, 1, 0): -1})
     lcm = FactoredRational(MACD, factors={(1, 0, 0): 1, (0, 1, 0): 1})

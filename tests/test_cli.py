@@ -155,11 +155,28 @@ def test_verify_corpus_missing_fixture(tmp_path, capsys):
 
 
 def test_verify_oracle_small(capsys):
+    # The whole suite in order, so a check relabelled or moved shows.
     code, out, _ = run(capsys, "verify", "oracle", "--max-size", "2")
     assert code == 0
-    lines = out.splitlines()
-    assert lines
-    assert all(line.startswith("ok ") for line in lines)
+    assert out.splitlines() == [
+        "ok orthogonality degree 1",
+        "ok power-sum expansion degree 1",
+        "ok orthogonality degree 2",
+        "ok power-sum expansion degree 2",
+        "ok principal specialization (1,)",
+        "ok expansion limit (1,)",
+        "ok schur degeneration (1,)",
+        "ok principal specialization (2,)",
+        "ok expansion limit (2,)",
+        "ok schur degeneration (2,)",
+        "ok principal specialization (1, 1)",
+        "ok expansion limit (1, 1)",
+        "ok schur degeneration (1, 1)",
+        "ok kernel identity order 1",
+        "ok kernel identity order 1, principal L=5",
+        "ok kernel identity order 2",
+        "ok kernel identity order 2, principal L=5",
+    ]
 
 
 def test_verify_oracle_names_a_raising_check(monkeypatch, capsys):
@@ -247,6 +264,18 @@ def test_cached_compute_keeps_content(tmp_path):
     entry.write_text(superpolynomial_to_json(want) + "\n")
     assert cli.cached_compute(3, 4).content == want.content
     assert "content" in json.loads(entry.read_text())
+
+
+def test_cached_compute_rejects_a_non_integer_content(tmp_path):
+    # Before the check, int() read 1.5 above each exponent back as 1 or 2 above it.
+    want = compute(3, 4)
+    cli.cached_compute(3, 4)
+    (entry,) = (tmp_path / "cache").glob("3_4_*.json")
+    stored = json.loads(entry.read_text())
+    stored["content"] = [x + 1.5 for x in stored["content"]]
+    entry.write_text(json.dumps(stored))
+    assert cli.cached_compute(3, 4).content == want.content
+    assert json.loads(entry.read_text())["content"] == list(want.content)
 
 
 def test_cached_compute_rejects_another_knots_entry(tmp_path):

@@ -577,9 +577,9 @@ def _bump_numerator_order(monkeypatch, n, r, order):
     T.  The witness is then the bumped term times the constant term 1 of D:
     the returned list receives its bold image."""
     monkeypatch.undo()
-    body = compute.__wrapped__
+    body = invariant._compute
     known = {n * k + r: body(n, n * k + r) for k in range(4)}
-    monkeypatch.setattr(compute, "__wrapped__", lambda n_, m: known[m])
+    monkeypatch.setattr(invariant, "_compute", lambda n_, m: known[m])
     real_sum, real_series = invariant._checked_sum, invariant._slice_series
     calls, witness = [], []
 
@@ -626,12 +626,12 @@ def test_fit_rejects_a_changed_content_or_a_nonpolynomial_order(monkeypatch, n, 
         generating_function(n, r)
 
     monkeypatch.undo()
-    body = compute.__wrapped__
+    body = invariant._compute
 
     def lost(n_, m):
         return NonPolynomial(n=n_, m=m, gcd=1) if m == n + r else body(n_, m)
 
-    monkeypatch.setattr(compute, "__wrapped__", lost)
+    monkeypatch.setattr(invariant, "_compute", lost)
     with pytest.raises(CalibrationError, match=re.escape(f"({n},{n + r}) is not polynomial")):
         generating_function(n, r)
 
@@ -678,7 +678,7 @@ def test_integrity_checks_reach_compute_and_generating_function(monkeypatch, cha
 
     monkeypatch.setattr(invariant, "_checked_sum", changed)
     with pytest.raises(IntegrityError, match=re.escape(f"(3,4): {message}")):
-        compute.__wrapped__(3, 4)  # past the memo
+        invariant._compute(3, 4)  # past the memo
     with pytest.raises(IntegrityError, match=re.escape(f"(3,1): {message}")):
         generating_function(3, 1)
 
@@ -835,6 +835,56 @@ def test_generating_function_json_rejects_a_negative_or_repeated_order():
         data["numerator"] = numerator
         with pytest.raises(ValueError, match=re.escape(message)):
             generating_function_from_json(json.dumps(data))
+
+
+def _json_changed(text, path, value):
+    """The JSON text with the value at the key path replaced."""
+    data = json.loads(text)
+    *head, last = path
+    inner = data
+    for key in head:
+        inner = inner[key]
+    inner[last] = value
+    return json.dumps(data)
+
+
+# At (2,1) the numerator is [[0, [[0, 0, 0, "1"]]], [1, [[2, 2, 3, "1"]]]]
+# and the poles are [0, 0, 0] and [0, 4, 2].
+@pytest.mark.parametrize("path,value,message", [
+    (("numerator", 0, 0), 0.7, "numerator entry 0 order must be an integer, got 0.7"),
+    (("numerator", 1, 0), True, "numerator entry 1 order must be an integer, got True"),
+    (("numerator", 0, 1, 0, 0), 0.5,
+     "numerator order z^0: term row 0 exponents must be integers, got (0.5, 0, 0)"),
+    (("denominator", 1, 1), 2.9, "pole 1 exponents must be integers, got (0, 2.9, 2)"),
+    (("numerator", 1, 1, 0, 3), 0.1,
+     "numerator order z^1: term row 0 coefficient must be a string or an integer, got 0.1"),
+    (("r",), True, "n and r must be integers, got (2, True)"),
+], ids=["order", "bool-order", "exponent", "pole", "coefficient", "r"])
+def test_generating_function_json_rejects_a_non_integer(path, value, message):
+    # Before the check, int() truncated each value (true read as order 1, which
+    # (2,1) already has) and Fraction() took a float.
+    text = generating_function_to_json(generating_function(2, 1))
+    with pytest.raises(TypeError, match=re.escape(message)):
+        generating_function_from_json(_json_changed(text, path, value))
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("n",), 2.5, "n and m must be integers, got (2.5, 3)"),
+    (("m",), True, "n and m must be integers, got (2, True)"),
+    (("terms", 0, 3), 0.1, "term row 0 coefficient must be a string or an integer, got 0.1"),
+], ids=["n", "m", "coefficient"])
+def test_superpolynomial_json_rejects_a_non_integer(path, value, message):
+    text = superpolynomial_to_json(compute(2, 3))
+    with pytest.raises(TypeError, match=re.escape(message)):
+        superpolynomial_from_json(_json_changed(text, path, value))
+
+
+def test_superpolynomial_json_rejects_a_repeated_term_row():
+    # Before the check, the repeated row's coefficient was added to the first.
+    data = json.loads(superpolynomial_to_json(compute(2, 3)))
+    data["terms"].insert(1, data["terms"][0])
+    with pytest.raises(ValueError, match=re.escape("term row 1 repeats the exponents (0, 0, 0)")):
+        superpolynomial_from_json(json.dumps(data))
 
 
 def test_generating_function_rejects_bad_families():
