@@ -9,13 +9,12 @@ oracle), ``genfun``, ``scan``, and ``specialize``.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from functools import cache
+from importlib.util import source_hash
 from pathlib import Path
 
 from .algebra import LaurentPolynomial, format_polynomial
@@ -57,11 +56,12 @@ CORPUS_PAIRS = (
 
 @cache  # the sources do not change under a running process
 def _code_version() -> str:
-    """sha256 of every module of the package in sorted order: none can leave stale entries."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+    """64-bit SipHash of every module of the package in sorted order, as
+    importlib.util.source_hash keys hash-based .pyc files: none can leave
+    stale entries.  The hash is keyed by the interpreter's bytecode magic
+    number, so each Python version keeps its own entries."""
+    sources = b"".join(path.read_bytes() for path in sorted(Path(__file__).parent.glob("*.py")))
+    return source_hash(sources).hex()
 
 
 def _cache_dir() -> Path:
@@ -78,15 +78,17 @@ def cached_compute(n: int, m: int):
 
     An entry holds the canonical JSON and the content that normalization
     removed, so a hit returns what compute() returns.  An entry for another
-    knot than the one asked for is a miss.
+    knot than the one asked for, or whose content is not one integer
+    exponent per variable of (a, q, t), is a miss.
     """
     path = _cache_dir() / f"{n}_{m}_{_code_version()}.json"
     try:
         entry = json.loads(path.read_text())
         hit = superpolynomial_from_json(entry["superpolynomial"])
-        _check_ints("cache entry content must be integers", *entry["content"])
-        if (hit.n, hit.m) == (n, m):
-            return replace(hit, content=tuple(entry["content"]))
+        content = tuple(entry["content"])
+        _check_ints("cache entry content must be integers", *content)
+        if (hit.n, hit.m) == (n, m) and len(content) == len(KNOT):
+            return hit._replace(content=content)
     except Exception:
         pass  # miss, stale key, or corrupt entry; recompute
     result = compute(n, m)

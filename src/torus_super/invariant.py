@@ -31,11 +31,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra import (
     KNOT,
@@ -110,15 +109,19 @@ def _check_positive(names: str, n: object, m: object) -> None:
         raise ValueError(f"{names} must be positive, got ({n}, {m})")
 
 
-@dataclass(frozen=True)
-class KnotRequest:
+class KnotRequest(NamedTuple("KnotRequest", [("n", int), ("m", int)])):
     """A validated (n, m) torus-knot index; n strands, m windings."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_positive("n and m", self.n, self.m)
+    def __new__(cls, n: int, m: int) -> KnotRequest:
+        _check_positive("n and m", n, m)
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, values) -> KnotRequest:
+        """Through __new__, so _replace validates too."""
+        return cls(*values)
 
     @property
     def quotient(self) -> int:
@@ -133,8 +136,7 @@ class KnotRequest:
         return math.gcd(self.n, self.m)
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
+class PropertyFlags(NamedTuple):
     polynomial: bool
     integral: bool
     positive: bool
@@ -145,8 +147,7 @@ class PropertyFlags:
         return self.polynomial and self.integral and self.positive and self.normalized
 
 
-@dataclass(frozen=True)
-class Superpolynomial:
+class Superpolynomial(NamedTuple):
     """Normalized invariant in (a, q, t) plus the monomial content removed."""
 
     n: int
@@ -156,8 +157,7 @@ class Superpolynomial:
     flags: PropertyFlags
 
 
-@dataclass(frozen=True)
-class NonPolynomial:
+class NonPolynomial(NamedTuple):
     """Outcome for inputs where the summed rational is not a polynomial."""
 
     n: int
@@ -170,8 +170,7 @@ class NonPolynomial:
 _Steps = tuple[tuple[tuple[int, int], int], ...]
 
 
-@dataclass(frozen=True)
-class _Summand:
+class _Summand(NamedTuple):
     """One partition's summand ``coeff * x^prefactor * prod (1 - x^b)^e / D_Y``.
 
     All of it is over MACD: the numerator binomials ``1 - x^b`` with their
@@ -196,8 +195,7 @@ _Slices = dict[int, _Slice]
 _Node = Union[int, tuple["_Node", "_Node", _Steps, _Steps]]
 
 
-@dataclass(frozen=True)
-class _FamilyCore:
+class _FamilyCore(NamedTuple):
     """m-independent data shared by every invariant of strand count n."""
 
     parts: tuple[_Summand, ...]
@@ -559,8 +557,7 @@ def specialize(result: Union[Superpolynomial, LaurentPolynomial], target: str) -
 # -- generating functions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratingFunction:
+class GeneratingFunction(NamedTuple):
     """Closed form sum_k P(n, nk+r) z^k = numerator / prod (1 - z*pole)."""
 
     n: int
@@ -710,8 +707,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
 # -- scanning ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     m: int
     gcd: int
@@ -723,8 +719,7 @@ class ScanRow:
     millis: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     rows: tuple[ScanRow, ...]
 
     @property
@@ -732,9 +727,9 @@ class ScanReport:
         return all(row.status in ("ok", "nonpolynomial") for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(ScanRow))]
+        lines = [",".join(ScanRow._fields)]
         for row in self.rows:
-            lines.append(",".join("" if v is None else str(v) for v in astuple(row)))
+            lines.append(",".join("" if v is None else str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 
@@ -794,10 +789,12 @@ def _to_rows(p: LaurentPolynomial) -> list[list]:
 
 
 def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
-    """Inverse of _to_rows.  A row of other than 4 fields, an exponent that
-    is not an integer, a coefficient that is neither a string nor an integer
-    or a row that repeats an earlier row's exponents is a ValueError or
-    TypeError that names the row's index, after the prefix where."""
+    """Inverse of _to_rows; a coefficient string is read as an int, or as
+    an exact Fraction if it is not one (``p/q``).  A row of other than 4
+    fields, an exponent that is not an integer, a coefficient that is neither
+    a string nor an integer, a string that is not a number or a row that
+    repeats an earlier row's exponents is a ValueError or TypeError that
+    names the row's index, after the prefix where."""
     terms: dict[Monomial, Coeff] = {}
     for i, row in enumerate(rows):
         if len(row) != 4:
@@ -809,7 +806,13 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
         exps = (a, q, t)
         if exps in terms:
             raise ValueError(f"{where}term row {i} repeats the exponents {exps}")
-        terms[exps] = Fraction(c)
+        try:
+            terms[exps] = int(c)
+        except ValueError:
+            try:
+                terms[exps] = Fraction(c)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{where}term row {i} coefficient is not a number, got {c!r}") from None
     return LaurentPolynomial(KNOT, terms)
 
 

@@ -278,6 +278,19 @@ def test_cached_compute_rejects_a_non_integer_content(tmp_path):
     assert json.loads(entry.read_text())["content"] == list(want.content)
 
 
+@pytest.mark.parametrize("cut", [slice(0, 2), slice(0, 0)], ids=["two", "none"])
+def test_cached_compute_rejects_a_short_content(tmp_path, cut):
+    # Before the check, the (3,4) entry cut to two values returned content (0, -2).
+    want = compute(3, 4)
+    cli.cached_compute(3, 4)
+    (entry,) = (tmp_path / "cache").glob("3_4_*.json")
+    stored = json.loads(entry.read_text())
+    stored["content"] = stored["content"][cut]
+    entry.write_text(json.dumps(stored))
+    assert cli.cached_compute(3, 4).content == want.content
+    assert json.loads(entry.read_text())["content"] == list(want.content)
+
+
 def test_cached_compute_rejects_another_knots_entry(tmp_path):
     cli.cached_compute(2, 3)
     (entry,) = (tmp_path / "cache").glob("2_3_*.json")
@@ -308,6 +321,21 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("P(2,3) = ")
+
+
+def test_import_loads_neither_dataclasses_nor_hashlib():
+    # Every command starts a fresh interpreter: dataclasses would load inspect,
+    # ast and dis with it, and hashlib OpenSSL's libcrypto.
+    package_root = str(Path(torus_super.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import torus_super, torus_super.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, package_root],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_code_version_reads_the_sources_once(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from torus_super.invariant import (
     KnotRequest,
     MACD_TO_KNOT,
     NonPolynomial,
+    PropertyFlags,
     Superpolynomial,
     compute,
     generating_function,
@@ -859,12 +861,16 @@ def _json_changed(text, path, value):
     (("numerator", 1, 1, 0, 3), 0.1,
      "numerator order z^1: term row 0 coefficient must be a string or an integer, got 0.1"),
     (("r",), True, "n and r must be integers, got (2, True)"),
-], ids=["order", "bool-order", "exponent", "pole", "coefficient", "r"])
+    (("numerator", 1, 1, 0, 3), "abc",
+     "numerator order z^1: term row 0 coefficient is not a number, got 'abc'"),
+], ids=["order", "bool-order", "exponent", "pole", "coefficient", "r", "coefficient-string"])
 def test_generating_function_json_rejects_a_non_integer(path, value, message):
     # Before the check, int() truncated each value (true read as order 1, which
-    # (2,1) already has) and Fraction() took a float.
+    # (2,1) already has) and Fraction() took a float; a string that is not a
+    # number raised Fraction's own error, which named no row.
     text = generating_function_to_json(generating_function(2, 1))
-    with pytest.raises(TypeError, match=re.escape(message)):
+    error = ValueError if isinstance(value, str) else TypeError
+    with pytest.raises(error, match=re.escape(message)):
         generating_function_from_json(_json_changed(text, path, value))
 
 
@@ -872,10 +878,13 @@ def test_generating_function_json_rejects_a_non_integer(path, value, message):
     (("n",), 2.5, "n and m must be integers, got (2.5, 3)"),
     (("m",), True, "n and m must be integers, got (2, True)"),
     (("terms", 0, 3), 0.1, "term row 0 coefficient must be a string or an integer, got 0.1"),
-], ids=["n", "m", "coefficient"])
+    (("terms", 2, 3), "abc", "term row 2 coefficient is not a number, got 'abc'"),
+    (("terms", 1, 3), "1/0", "term row 1 coefficient is not a number, got '1/0'"),
+], ids=["n", "m", "coefficient", "coefficient-string", "coefficient-zero-denominator"])
 def test_superpolynomial_json_rejects_a_non_integer(path, value, message):
     text = superpolynomial_to_json(compute(2, 3))
-    with pytest.raises(TypeError, match=re.escape(message)):
+    error = ValueError if isinstance(value, str) else TypeError
+    with pytest.raises(error, match=re.escape(message)):
         superpolynomial_from_json(_json_changed(text, path, value))
 
 
@@ -885,6 +894,27 @@ def test_superpolynomial_json_rejects_a_repeated_term_row():
     data["terms"].insert(1, data["terms"][0])
     with pytest.raises(ValueError, match=re.escape("term row 1 repeats the exponents (0, 0, 0)")):
         superpolynomial_from_json(json.dumps(data))
+
+
+def test_records_are_immutable_tuples_that_pickle():
+    # The records are NamedTuples: fields in order, a repr naming them, value
+    # equality with a plain tuple, and pickling for worker processes.
+    core = _family_core(4)
+    assert pickle.loads(pickle.dumps(core)) == core
+    sp = compute(3, 4)
+    back = pickle.loads(pickle.dumps(sp))
+    assert back == sp and type(back) is Superpolynomial and type(back.flags) is PropertyFlags
+    assert Superpolynomial._fields == ("n", "m", "terms", "content", "flags")
+    req = KnotRequest(m=4, n=3)
+    assert req == (3, 4) and hash(req) == hash((3, 4)) and repr(req) == "KnotRequest(n=3, m=4)"
+    assert pickle.loads(pickle.dumps(req)) == req
+    with pytest.raises(ValueError, match=re.escape("n and m must be positive, got (0, 4)")):
+        req._replace(n=0)
+    for record, name in ((core, "lcm_peak"), (sp, "content"), (req, "n"), (core.parts[0], "coeff")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        req.extra = 0
 
 
 def test_generating_function_rejects_bad_families():
