@@ -4,7 +4,8 @@ A Laurent polynomial is a dict mapping exponent vectors (one signed integer
 per variable of a fixed alphabet) to nonzero rational coefficients.
 Coefficients stay exact throughout: integers where possible, ``Fraction``
 otherwise; the two mix transparently.  All values are immutable by
-convention; every operation returns a new object.
+convention; every operation returns a new object.  A sum adds every term,
+then keeps the nonzero ones once, as it builds its result.
 
 Rational functions whose denominators are products of binomials
 ``1 - monomial`` are kept factored (:class:`FactoredRational`) so that the
@@ -75,7 +76,9 @@ def _digit_bias(count: int, nbytes: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
-def _check_same_alphabet(a: "LaurentPolynomial", b: "LaurentPolynomial") -> None:
+def _check_same_alphabet(
+    a: LaurentPolynomial | FactoredRational, b: LaurentPolynomial | FactoredRational
+) -> None:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(f"{a.alphabet} vs {b.alphabet}")
 
@@ -179,12 +182,8 @@ class LaurentPolynomial:
         _check_same_alphabet(self, other)
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            total = merged.get(e, 0) + c
-            if total:
-                merged[e] = as_coeff(total)
-            else:
-                merged.pop(e, None)
-        return LaurentPolynomial._of(self.alphabet, merged)
+            merged[e] = as_coeff(merged.get(e, 0) + c)
+        return LaurentPolynomial._of(self.alphabet, {e: c for e, c in merged.items() if c})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
@@ -207,12 +206,8 @@ class LaurentPolynomial:
         for e1, c1 in shorter.items():
             for e2, c2 in longer.items():
                 e = monomial_mul(e1, e2)
-                total = acc.get(e, 0) + c1 * c2
-                if total:
-                    acc[e] = total
-                else:
-                    acc.pop(e, None)
-        return LaurentPolynomial._of(self.alphabet, {e: as_coeff(c) for e, c in acc.items()})
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPolynomial._of(self.alphabet, {e: as_coeff(c) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -241,12 +236,8 @@ class LaurentPolynomial:
         acc: dict[Monomial, Coeff] = {}
         for exps, c in self.terms.items():
             sign, image = sub.image(exps)
-            total = acc.get(image, 0) + (c if sign > 0 else -c)
-            if total:
-                acc[image] = total
-            else:
-                acc.pop(image, None)
-        return LaurentPolynomial._of(sub.target, {e: as_coeff(c) for e, c in acc.items()})
+            acc[image] = acc.get(image, 0) + (c if sign > 0 else -c)
+        return LaurentPolynomial._of(sub.target, {e: as_coeff(c) for e, c in acc.items() if c})
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -331,6 +322,7 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
             ne = monomial_mul(qe, ge)
             prev = rem.get(ne, 0)
             total = prev - qc * gc
+            # Deleted at once, unlike a sum: the final check reads any key left in rem as a remainder.
             if total:
                 if not prev:
                     heapq.heappush(heap, monomial_inverse(ne))
@@ -435,15 +427,11 @@ class FactoredRational:
                     coeff = -coeff
                 pre = [p + e * mult for p, e in zip(pre, b)]
                 b = monomial_inverse(b)
-            total = merged.get(b, 0) + mult
-            if total:
-                merged[b] = total
-            else:
-                merged.pop(b, None)
+            merged[b] = merged.get(b, 0) + mult
         self.alphabet = alphabet
         self.coeff = as_coeff(coeff)
         self.prefactor = tuple(pre)
-        self.factors = merged
+        self.factors = {b: m for b, m in merged.items() if m}
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "FactoredRational":
@@ -464,25 +452,21 @@ class FactoredRational:
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError(f"{self.alphabet} vs {other.alphabet}")
-        merged = dict(self.factors)
-        for b, mult in other.factors.items():
-            total = merged.get(b, 0) + mult
-            if total:
-                merged[b] = total
-            else:
-                merged.pop(b, None)
-        out = FactoredRational(self.alphabet, coeff=as_coeff(self.coeff * other.coeff))
-        out.prefactor = monomial_mul(self.prefactor, other.prefactor)
-        out.factors = merged
-        return out
+        _check_same_alphabet(self, other)
+        return FactoredRational(
+            self.alphabet,
+            self.coeff * other.coeff,
+            monomial_mul(self.prefactor, other.prefactor),
+            [*self.factors.items(), *other.factors.items()],
+        )
 
     def reciprocal(self) -> "FactoredRational":
-        out = FactoredRational(self.alphabet, coeff=as_coeff(Fraction(1, 1) / self.coeff))
-        out.prefactor = monomial_inverse(self.prefactor)
-        out.factors = {b: -m for b, m in self.factors.items()}
-        return out
+        return FactoredRational(
+            self.alphabet,
+            Fraction(1) / self.coeff,
+            monomial_inverse(self.prefactor),
+            [(b, -m) for b, m in self.factors.items()],
+        )
 
     def expand(self) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         """Expanded ``(numerator, denominator)``; numerator carries coeff and prefactor."""
@@ -517,13 +501,9 @@ def expand_binomial_product(
             nxt: dict[Monomial, Coeff] = dict(acc)
             for exps, c in acc.items():
                 shifted = monomial_mul(exps, b)
-                total = nxt.get(shifted, 0) - c
-                if total:
-                    nxt[shifted] = total
-                else:
-                    nxt.pop(shifted, None)
+                nxt[shifted] = nxt.get(shifted, 0) - c
             acc = nxt
-    return LaurentPolynomial._of(start.alphabet, {e: as_coeff(c) for e, c in acc.items()})
+    return LaurentPolynomial._of(start.alphabet, {e: as_coeff(c) for e, c in acc.items() if c})
 
 
 def elementary_symmetric(

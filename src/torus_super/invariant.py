@@ -599,6 +599,7 @@ class GeneratingFunction(NamedTuple):
                     if old is None:
                         into[points.setdefault(key, key)] = c
                     elif not (total := old + c):
+                        # Deleted at once: the next pole pass would copy a kept zero into every later row.
                         del into[key]
                     elif type(total) is int:
                         into[key] = total
@@ -788,15 +789,37 @@ def _to_rows(p: LaurentPolynomial) -> list[list]:
     return [[a, q, t, str(c)] for (a, q, t), c in p.sorted_terms()]
 
 
+def _check_list(what: str, value: object) -> None:
+    """TypeError "{what} must be a list, got ..." unless value is a JSON array."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+
+
+def _json_object(text: str, *names: str) -> dict:
+    """The JSON object in text: a TypeError if it is another value, a
+    ValueError naming the first of the fields names that it lacks."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise TypeError(f"JSON text must be an object, got a {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"JSON object has no {name!r} field")
+    return data
+
+
 def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
     """Inverse of _to_rows; a coefficient string is read as an int, or as
-    an exact Fraction if it is not one (``p/q``).  A row of other than 4
-    fields, an exponent that is not an integer, a coefficient that is neither
-    a string nor an integer, a string that is not a number or a row that
-    repeats an earlier row's exponents is a ValueError or TypeError that
-    names the row's index, after the prefix where."""
+    an exact Fraction if it is not one (``p/q``).  Rows that are not a list,
+    a row that is not a list of 4 fields, an exponent that is not an
+    integer, a coefficient that is neither a string nor an integer, a string
+    that is not a number or a row that repeats an earlier row's exponents is
+    a ValueError or TypeError that names the row's index, after the prefix
+    where."""
+    _check_list(f"{where}term rows", rows)
     terms: dict[Monomial, Coeff] = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, list):  # inline, as it runs once per row of every cache hit
+            raise TypeError(f"{where}term row {i} must be a list, got {row!r}")
         if len(row) != 4:
             raise ValueError(f"{where}term row {i} has {len(row)} fields, expected 4 [a, q, t, c]")
         a, q, t, c = row
@@ -824,9 +847,12 @@ def superpolynomial_to_json(sp: Superpolynomial) -> str:
 
 def superpolynomial_from_json(text: str) -> Superpolynomial:
     """Inverse of superpolynomial_to_json; the canonical form stores no
-    content, so the result's content is the unit monomial."""
-    data = json.loads(text)
-    _check_ints("n and m must be integers", data["n"], data["m"])
+    content, so the result's content is the unit monomial.  Text that is
+    not an object with the fields n, m and terms, an n or m that is not a
+    positive integer or a malformed term row is a TypeError or ValueError
+    naming what is wrong."""
+    data = _json_object(text, "n", "m", "terms")
+    _check_positive("n and m", data["n"], data["m"])
     poly = _from_rows(data["terms"])
     if not data.get("normalized", False):
         raise ValueError("only normalized invariants are serialized")
@@ -847,21 +873,30 @@ def generating_function_to_json(gf: GeneratingFunction) -> str:
 
 
 def generating_function_from_json(text: str) -> GeneratingFunction:
-    """Inverse of generating_function_to_json.  A value that should be an
-    integer and is not, a negative or repeated numerator order, a pole of
-    other than 3 exponents or a malformed term row is a TypeError or
-    ValueError naming where it is."""
-    data = json.loads(text)
-    _check_ints("n and r must be integers", data["n"], data["r"])
+    """Inverse of generating_function_to_json.  Text that is not an object
+    with the fields n, r, numerator and denominator, an (n, r) that is no
+    family of generating_function, a value that should be an integer or a
+    list and is not, a numerator entry that is not an [order, rows] pair, a
+    negative or repeated numerator order, a pole of other than 3 exponents
+    or a malformed term row is a TypeError or ValueError naming where it is."""
+    data = _json_object(text, "n", "r", "numerator", "denominator")
+    _check_family(data["n"], data["r"])
+    _check_list("numerator", data["numerator"])
     numerator = []
-    for i, (j, rows) in enumerate(data["numerator"]):
+    for i, entry in enumerate(data["numerator"]):
+        _check_list(f"numerator entry {i}", entry)
+        if len(entry) != 2:
+            raise ValueError(f"numerator entry {i} has {len(entry)} items, expected 2 [order, rows]")
+        j, rows = entry
         _check_ints(f"numerator entry {i} order must be an integer", j)
         if j < 0:
             raise ValueError(f"numerator order z^{j} is negative")
         if any(k == j for k, _ in numerator):
             raise ValueError(f"numerator order z^{j} appears more than once")
         numerator.append((j, _from_rows(rows, f"numerator order z^{j}: ")))
+    _check_list("denominator", data["denominator"])
     for i, p in enumerate(data["denominator"]):
+        _check_list(f"pole {i}", p)
         if len(p) != 3:
             raise ValueError(f"pole {i} has {len(p)} exponents, expected 3 (a, q, t)")
         _check_ints(f"pole {i} exponents must be integers", *p)

@@ -45,13 +45,16 @@ def random_poly(rng, alphabet, max_terms=12, span=8):
 def test_difference_of_squares():
     one_plus_q = poly(QT, {(0, 0): 1, (1, 0): 1})
     one_minus_q = poly(QT, {(0, 0): 1, (1, 0): -1})
+    # The cross terms q and -q cancel; == would see a zero stored for them.
     assert one_plus_q * one_minus_q == poly(QT, {(0, 0): 1, (2, 0): -1})
 
 
 def test_additive_identity():
     f = poly(QT, {(2, -1): 3, (0, 1): Fraction(1, 2)})
     assert f + LaurentPolynomial.zero(QT) == f
+    # == compares the stored terms, so each cancelled sum must store no zero.
     assert f - f == LaurentPolynomial.zero(QT)
+    assert f + (-f) == LaurentPolynomial.zero(QT)
     assert not (f - f)
 
 
@@ -116,6 +119,10 @@ def test_substitution_example():
     f = poly(MACD, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1})
     image = f.substitute(MACD_TO_KNOT)
     assert image == poly(KNOT, {(0, 0, 0): 1, (0, 4, 2): 1, (2, 2, 3): 1})
+    # q -> t sends q and t to one monomial, so q - t + q*t cancels to t^2.
+    q_to_t = SubstitutionMap(QT, ("t",), {"q": (1, (1,)), "t": (1, (1,))})
+    assert poly(QT, {(1, 0): 1, (0, 1): -1, (1, 1): 1}).substitute(q_to_t).terms == {(2,): 1}
+    assert poly(QT, {(1, 0): 1, (0, 1): -1}).substitute(q_to_t).terms == {}
 
 
 def test_substitution_images():
@@ -201,6 +208,7 @@ def test_factored_multiplication_cancels():
         MACD, coeff=Fraction(3, 2), prefactor=(1, -2, 0),
         factors={(1, 0, 0): 2, (0, 1, 0): -1},
     )
+    # == compares the factors, so no cancelled binomial may keep a zero multiplicity.
     assert r * r.reciprocal() == FactoredRational.one(MACD)
     with pytest.raises(ZeroDivisionError):
         FactoredRational(MACD, factors={(0, 0, 0): 1})
@@ -251,6 +259,15 @@ def test_expand_binomial_product_from_polynomial_start():
         assert expand_binomial_product(start, factors) == start * expand_binomial_product(
             one, factors
         )
+    # (1 + q + q^2)(1 - q) = 1 - q^3: the copy's q and q^2 cancel the start's,
+    # and (1 + q)(1 - q)^2 cancels q in its first copy only to regain it.
+    q = (1, 0, 0)
+    assert expand_binomial_product(poly(MACD, {(0, 0, 0): 1, q: 1, (2, 0, 0): 1}), [(q, 1)]).terms == {
+        (0, 0, 0): 1, (3, 0, 0): -1,
+    }
+    assert expand_binomial_product(poly(MACD, {(0, 0, 0): 1, q: 1}), [(q, 2)]).terms == {
+        (0, 0, 0): 1, q: -1, (2, 0, 0): -1, (3, 0, 0): 1,
+    }
     with pytest.raises(ValueError):
         expand_binomial_product(one, [((1, 0, 0), -1)])
 

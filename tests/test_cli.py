@@ -148,6 +148,24 @@ def test_verify_corpus_flags_corruption(tmp_path, capsys):
     assert "fixture=2 computed=1" in out
 
 
+def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsys):
+    # Before, the reader's error escaped after the first MISMATCH line and
+    # the remaining pairs were never checked.
+    bad = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, bad)
+    text = (bad / "2_5.json").read_text()
+    (bad / "2_5.json").write_text(text[: text.index("],[") + 2])
+    (bad / "3_4.json").write_text('{"n":3,"m":4}')
+    code, out, _ = run(capsys, "verify", "corpus", "--fixtures", str(bad))
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("(2,5) MISMATCH")
+    assert lines[at + 1].startswith("  unreadable fixture: Expecting value")
+    at = lines.index("(3,4) MISMATCH")
+    assert lines[at + 1] == "  unreadable fixture: JSON object has no 'terms' field"
+    assert len(lines) == 17 and sum(line.endswith(" ok") for line in lines) == 13
+
+
 def test_verify_corpus_missing_fixture(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "corpus", "--fixtures", str(tmp_path / "nowhere"))
     assert code == 3
@@ -325,11 +343,12 @@ def test_module_entry_point(tmp_path):
 
 def test_import_loads_neither_dataclasses_nor_hashlib():
     # Every command starts a fresh interpreter: dataclasses would load inspect,
-    # ast and dis with it, and hashlib OpenSSL's libcrypto.
+    # ast and dis with it, hashlib OpenSSL's libcrypto, and tempfile shutil,
+    # random, bz2 and lzma.
     package_root = str(Path(torus_super.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import torus_super, torus_super.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib', 'tempfile'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, package_root],

@@ -810,19 +810,25 @@ def test_numerator_orders_hold_one_tuple_per_point(monkeypatch):
 
 def test_generating_function_json_rejects_a_malformed_pole():
     data = json.loads(generating_function_to_json(generating_function(2, 1)))
-    data["denominator"].append([0, 4])
-    message = f"pole {len(data['denominator']) - 1} has 2 exponents, expected 3 (a, q, t)"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        generating_function_from_json(json.dumps(data))
+    last = len(data["denominator"])
+    for pole, error, message in (
+        ([0, 4], ValueError, f"pole {last} has 2 exponents, expected 3 (a, q, t)"),
+        (4, TypeError, f"pole {last} must be a list, got 4"),
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            generating_function_from_json(json.dumps({**data, "denominator": data["denominator"] + [pole]}))
 
 
 def test_generating_function_json_rejects_a_malformed_term_row():
     data = json.loads(generating_function_to_json(generating_function(3, 1)))
     j, rows = data["numerator"][-1]
-    rows[1] = rows[1][:3]
-    message = f"numerator order z^{j}: term row 1 has 3 fields, expected 4 [a, q, t, c]"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        generating_function_from_json(json.dumps(data))
+    for row, error, message in (
+        (rows[1][:3], ValueError, f"numerator order z^{j}: term row 1 has 3 fields, expected 4 [a, q, t, c]"),
+        (7, TypeError, f"numerator order z^{j}: term row 1 must be a list, got 7"),
+    ):
+        rows[1] = row
+        with pytest.raises(error, match=re.escape(message)):
+            generating_function_from_json(json.dumps(data))
 
 
 def test_generating_function_json_rejects_a_negative_or_repeated_order():
@@ -833,6 +839,7 @@ def test_generating_function_json_rejects_a_negative_or_repeated_order():
     for numerator, message in (
         ([[-1, rows]], "numerator order z^-1 is negative"),
         ([[0, rows], [0, rows]], "numerator order z^0 appears more than once"),
+        ([[0, rows, 1]], "numerator entry 0 has 3 items, expected 2 [order, rows]"),
     ):
         data["numerator"] = numerator
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -886,6 +893,31 @@ def test_superpolynomial_json_rejects_a_non_integer(path, value, message):
     error = ValueError if isinstance(value, str) else TypeError
     with pytest.raises(error, match=re.escape(message)):
         superpolynomial_from_json(_json_changed(text, path, value))
+
+
+# Before the checks, (-2, 0) and the family (2, 5) were read back, a missing
+# field was a bare KeyError, and the other cases raised Python's own errors
+# ("list indices must be integers", "object of type 'int' has no len()").
+@pytest.mark.parametrize("read,text,error,message", [
+    (superpolynomial_from_json, '{"n":-2,"m":0,"normalized":true,"terms":[[0,0,0,"1"]]}',
+     ValueError, "n and m must be positive, got (-2, 0)"),
+    (generating_function_from_json, '{"n":2,"r":5,"numerator":[],"denominator":[]}',
+     ValueError, "need 1 <= r < n, got (n, r) = (2, 5)"),
+    (superpolynomial_from_json, '{"n":2,"m":3,"normalized":true}',
+     ValueError, "JSON object has no 'terms' field"),
+    (generating_function_from_json, '{"n":2,"r":1,"numerator":[]}',
+     ValueError, "JSON object has no 'denominator' field"),
+    (superpolynomial_from_json, "[2, 3]", TypeError, "JSON text must be an object, got a list"),
+    (generating_function_from_json, "[]", TypeError, "JSON text must be an object, got a list"),
+    (superpolynomial_from_json, '{"n":2,"m":3,"normalized":true,"terms":5}',
+     TypeError, "term rows must be a list, got 5"),
+    (generating_function_from_json, '{"n":2,"r":1,"numerator":[7],"denominator":[]}',
+     TypeError, "numerator entry 0 must be a list, got 7"),
+], ids=["knot-range", "family-range", "no-terms", "no-denominator", "knot-list", "family-list",
+        "terms-number", "entry-number"])
+def test_json_readers_reject_a_malformed_object(read, text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        read(text)
 
 
 def test_superpolynomial_json_rejects_a_repeated_term_row():
