@@ -14,7 +14,6 @@ from .invariant import (
     CalibrationError,
     GeneratingFunction,
     IntegrityError,
-    KnotRequest,
     NonPolynomial,
     PropertyFlags,
     Superpolynomial,
@@ -35,7 +34,6 @@ __all__ = [
     "FactoredRational",
     "GeneratingFunction",
     "IntegrityError",
-    "KnotRequest",
     "LaurentPolynomial",
     "NonDivisibleError",
     "NonPolynomial",

@@ -15,7 +15,6 @@ once it is over its common denominator.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -274,67 +273,47 @@ def format_polynomial(p: LaurentPolynomial) -> str:
     return text
 
 
-def _div_coeff(c: Coeff, d: Coeff) -> Coeff:
-    """Exact rational ``c / d``, staying in ``int`` when ``d`` divides ``c``."""
-    if isinstance(c, int) and isinstance(d, int) and c % d == 0:
-        return c // d
-    return as_coeff(Fraction(c) / d)
-
-
 def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient ``f / g``; raises :class:`NonDivisibleError` otherwise.
 
     Sparse reduction in lex order, after shifting both operands to ordinary
     polynomials: every intermediate remainder of an exact division stays a
     multiple of ``g``, so the first leading term not divisible by ``g``'s
-    proves non-divisibility.
+    proves non-divisibility.  The loop ends because each step removes the
+    remainder's leading term and adds only lower ones.
     """
     _check_same_alphabet(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
+    if f.is_zero():  # content() of zero raises
         return LaurentPolynomial.zero(f.alphabet)
 
     content_f = f.content()
     content_g = g.content()
     rem = {monomial_div(e, content_f): c for e, c in f.terms.items()}
     gshift = {monomial_div(e, content_g): c for e, c in g.terms.items()}
-
     lead_g = max(gshift)
-    lead_coeff = gshift[lead_g]
-    tail = [(e, c) for e, c in gshift.items() if e != lead_g]
+    lead_coeff = gshift.pop(lead_g)
 
-    heap = [monomial_inverse(e) for e in rem]
-    heapq.heapify(heap)
+    shift = monomial_div(content_f, content_g)
     quotient: dict[Monomial, Coeff] = {}
-
-    while heap:
-        e = monomial_inverse(heapq.heappop(heap))
-        c = rem.pop(e, 0)
-        if not c:
-            continue
+    while rem:
+        e = max(rem)
         qe = monomial_div(e, lead_g)
         if any(x < 0 for x in qe):
             raise NonDivisibleError(f"leading term {e} not reducible by {lead_g}")
-        qc = _div_coeff(c, lead_coeff)
-        quotient[qe] = qc
-        for ge, gc in tail:
+        qc = as_coeff(Fraction(rem.pop(e)) / lead_coeff)
+        quotient[monomial_mul(qe, shift)] = qc
+        for ge, gc in gshift.items():
             ne = monomial_mul(qe, ge)
-            prev = rem.get(ne, 0)
-            total = prev - qc * gc
-            # Deleted at once, unlike a sum: the final check reads any key left in rem as a remainder.
+            total = rem.get(ne, 0) - qc * gc
+            # Deleted at once, unlike a sum: max(rem) must not pick a cancelled term,
+            # and the loop ends only when rem is empty.
             if total:
-                if not prev:
-                    heapq.heappush(heap, monomial_inverse(ne))
                 rem[ne] = total
             else:
                 rem.pop(ne, None)
-
-    if rem:
-        raise NonDivisibleError("nonzero remainder")
-    shift = monomial_div(content_f, content_g)
-    terms = {monomial_mul(e, shift): as_coeff(c) for e, c in quotient.items()}
-    return LaurentPolynomial._of(f.alphabet, terms)
+    return LaurentPolynomial._of(f.alphabet, quotient)
 
 
 class SubstitutionMap:
@@ -500,8 +479,9 @@ def expand_binomial_product(
         for _ in range(e):
             nxt: dict[Monomial, Coeff] = dict(acc)
             for exps, c in acc.items():
-                shifted = monomial_mul(exps, b)
-                nxt[shifted] = nxt.get(shifted, 0) - c
+                if c:  # a cancelled term is dropped by the filter below, not shifted again
+                    shifted = monomial_mul(exps, b)
+                    nxt[shifted] = nxt.get(shifted, 0) - c
             acc = nxt
     return LaurentPolynomial._of(start.alphabet, {e: as_coeff(c) for e, c in acc.items() if c})
 

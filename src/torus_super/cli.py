@@ -20,7 +20,6 @@ from .algebra import LaurentPolynomial, format_polynomial
 from .invariant import (
     CalibrationError,
     KNOT,
-    KnotRequest,
     NonPolynomial,
     Superpolynomial,
     compute,
@@ -32,6 +31,7 @@ from .invariant import (
     superpolynomial_to_json,
     _check_family,
     _check_ints,
+    _check_positive,
     _check_scan,
 )
 from .partitions import enumerate_partitions
@@ -177,7 +177,7 @@ def _report_nonpolynomial(result: NonPolynomial) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    _check_arguments(KnotRequest, args.n, args.m)
+    _check_arguments(_check_positive, "n and m", args.n, args.m)
     result = cached_compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
         return _report_nonpolynomial(result)
@@ -290,7 +290,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
-    _check_arguments(KnotRequest, args.n, args.m)
+    _check_arguments(_check_positive, "n and m", args.n, args.m)
     result = compute(args.n, args.m)
     if isinstance(result, NonPolynomial):
         return _report_nonpolynomial(result)

@@ -109,33 +109,6 @@ def _check_positive(names: str, n: object, m: object) -> None:
         raise ValueError(f"{names} must be positive, got ({n}, {m})")
 
 
-class KnotRequest(NamedTuple("KnotRequest", [("n", int), ("m", int)])):
-    """A validated (n, m) torus-knot index; n strands, m windings."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, m: int) -> KnotRequest:
-        _check_positive("n and m", n, m)
-        return super().__new__(cls, n, m)
-
-    @classmethod
-    def _make(cls, values) -> KnotRequest:
-        """Through __new__, so _replace validates too."""
-        return cls(*values)
-
-    @property
-    def quotient(self) -> int:
-        return self.m // self.n
-
-    @property
-    def remainder(self) -> int:
-        return self.m % self.n
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(self.n, self.m)
-
-
 class PropertyFlags(NamedTuple):
     polynomial: bool
     integral: bool
@@ -300,12 +273,11 @@ def _family_core(n: int) -> _FamilyCore:
     )
 
 
-def _numerators(req: KnotRequest) -> list[_Slices]:
+def _numerators(n: int, m: int) -> list[_Slices]:
     """Each summand's numerator n_Y as slices by the power of A: the cofactor
     e_r(Y) times the summand's monomial, its m-dependent shift and its
     numerator binomials."""
-    n, m = req.n, req.m
-    k, r = req.quotient, req.remainder
+    k, r = divmod(m, n)
     e = r * n + r * (r - 1) // 2 - n * (n - 1) // 2
     out = []
     for part in _family_core(n).parts:
@@ -484,10 +456,11 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     is substituted into (a, q, t) and normalized, by _normalized.  Results
     are immutable and memoized; _compute is the body without the memo.
     """
-    req = KnotRequest(n, m)
-    total, failure = _checked_sum(_family_core(n), _numerators(req))
+    _check_positive("n and m", n, m)
+    total, failure = _checked_sum(_family_core(n), _numerators(n, m))
     if failure is not None:
-        return NonPolynomial(n=n, m=m, gcd=req.gcd, reason=f"multiply-back check failed: {failure}")
+        reason = f"multiply-back check failed: {failure}"
+        return NonPolynomial(n=n, m=m, gcd=math.gcd(n, m), reason=reason)
     return _normalized(n, m, total)
 
 
@@ -659,7 +632,7 @@ def generating_function(n: int, r: int) -> GeneratingFunction:
     # then c_j(f) = f * c_(j-1)(f) + E_j with c_0(f) = 1, one order at a time.
     elementary = elementary_symmetric(MACD, [(*f, 0) for f in framings], len(framings) - 1)
     cofactors = dict.fromkeys(framings, elementary[0])
-    first = _numerators(KnotRequest(n, r))
+    first = _numerators(n, r)
     numerator = [(0, known[0].terms)]
     # A slice or order that gains a point takes its table's tuple; a sum
     # keeps the key already there.
@@ -812,9 +785,9 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
     an exact Fraction if it is not one (``p/q``).  Rows that are not a list,
     a row that is not a list of 4 fields, an exponent that is not an
     integer, a coefficient that is neither a string nor an integer, a string
-    that is not a number or a row that repeats an earlier row's exponents is
-    a ValueError or TypeError that names the row's index, after the prefix
-    where."""
+    that is not a number, a zero coefficient or a row that repeats an
+    earlier row's exponents is a ValueError or TypeError that names the
+    row's index, after the prefix where."""
     _check_list(f"{where}term rows", rows)
     terms: dict[Monomial, Coeff] = {}
     for i, row in enumerate(rows):
@@ -823,7 +796,8 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
         if len(row) != 4:
             raise ValueError(f"{where}term row {i} has {len(row)} fields, expected 4 [a, q, t, c]")
         a, q, t, c = row
-        _check_ints(f"{where}term row {i} exponents must be integers", a, q, t)
+        if type(a) is not int or type(q) is not int or type(t) is not int:  # builds no message per row
+            _check_ints(f"{where}term row {i} exponents must be integers", a, q, t)
         if isinstance(c, bool) or not isinstance(c, (str, int)):
             raise TypeError(f"{where}term row {i} coefficient must be a string or an integer, got {c!r}")
         exps = (a, q, t)
@@ -836,6 +810,8 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
                 terms[exps] = Fraction(c)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{where}term row {i} coefficient is not a number, got {c!r}") from None
+        if not terms[exps]:
+            raise ValueError(f"{where}term row {i} coefficient must be nonzero, got {c!r}")
     return LaurentPolynomial(KNOT, terms)
 
 

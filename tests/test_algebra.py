@@ -78,6 +78,8 @@ def test_exact_divide_examples():
     assert exact_divide(one_minus_q2, one_minus_q) == one_plus_q
     with pytest.raises(NonDivisibleError):
         exact_divide(one_plus_q, one_minus_q)
+    zero = LaurentPolynomial.zero(QT)
+    assert exact_divide(zero, one_minus_q) == zero
 
 
 def test_exact_divide_round_trip():

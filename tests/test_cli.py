@@ -156,6 +156,11 @@ def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsy
     text = (bad / "2_5.json").read_text()
     (bad / "2_5.json").write_text(text[: text.index("],[") + 2])
     (bad / "3_4.json").write_text('{"n":3,"m":4}')
+    # A zero coefficient row: before, it was dropped, and the pair read as a
+    # MISMATCH with no line saying why.
+    data = json.loads((bad / "4_5.json").read_text())
+    data["terms"].append([0, 1, 0, "0"])
+    (bad / "4_5.json").write_text(json.dumps(data, separators=(",", ":")))
     code, out, _ = run(capsys, "verify", "corpus", "--fixtures", str(bad))
     assert code == 1
     lines = out.splitlines()
@@ -163,7 +168,10 @@ def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsy
     assert lines[at + 1].startswith("  unreadable fixture: Expecting value")
     at = lines.index("(3,4) MISMATCH")
     assert lines[at + 1] == "  unreadable fixture: JSON object has no 'terms' field"
-    assert len(lines) == 17 and sum(line.endswith(" ok") for line in lines) == 13
+    at = lines.index("(4,5) MISMATCH")
+    rows = len(data["terms"])
+    assert lines[at + 1] == f"  unreadable fixture: term row {rows - 1} coefficient must be nonzero, got '0'"
+    assert len(lines) == 18 and sum(line.endswith(" ok") for line in lines) == 12
 
 
 def test_verify_corpus_missing_fixture(tmp_path, capsys):

@@ -24,7 +24,6 @@ from torus_super.invariant import (
     CalibrationError,
     GeneratingFunction,
     IntegrityError,
-    KnotRequest,
     MACD_TO_KNOT,
     NonPolynomial,
     PropertyFlags,
@@ -48,18 +47,13 @@ def knot(terms):
     return LaurentPolynomial(KNOT, terms)
 
 
-def test_request_quotient_remainder():
-    req = KnotRequest(3, 7)
-    assert (req.quotient, req.remainder, req.gcd) == (2, 1, 1)
-    assert req.n * req.quotient + req.remainder == req.m
-    with pytest.raises(ValueError):
-        KnotRequest(0, 3)
-    with pytest.raises(ValueError):
-        KnotRequest(2, -1)
-    with pytest.raises(TypeError):
-        KnotRequest(2.0, 3)
-    with pytest.raises(TypeError):
-        KnotRequest(True, 3)
+def test_compute_rejects_a_pair_that_is_not_two_positive_integers():
+    with pytest.raises(ValueError, match=re.escape("n and m must be positive, got (0, 3)")):
+        compute(0, 3)
+    with pytest.raises(ValueError, match=re.escape("n and m must be positive, got (2, -1)")):
+        compute(2, -1)
+    with pytest.raises(TypeError, match=re.escape("n and m must be integers, got (2.0, 3)")):
+        compute(2.0, 3)
 
 
 @pytest.mark.parametrize("warm_first", [False, True])
@@ -222,7 +216,7 @@ def test_defining_identity(n):
             continue
         result = compute(n, m)
         numerators, total = _generic_sides(n, m)
-        assert _numerators(KnotRequest(n, m)) == [_slices(num) for num in numerators], (n, m)
+        assert _numerators(n, m) == [_slices(num) for num in numerators], (n, m)
         raw = result.terms.shifted(result.content)
         assert _times_denominator(raw, n) == total, (n, m)
 
@@ -249,7 +243,7 @@ def test_nonpolynomial_witness_is_lowest_term_of_the_difference():
         result = compute(n, m)
         assert isinstance(result, NonPolynomial), (n, m)
         core = _family_core(n)
-        numerators = _numerators(KnotRequest(n, m))
+        numerators = _numerators(n, m)
         series, failure = _checked_sum(core, numerators)
         witness = _witness(failure)
         q_max = None if n < 5 else witness[0][1]
@@ -299,7 +293,7 @@ def _failure_of(monkeypatch, core, numerators, series):
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 7), (4, 5), (5, 6)])
 def test_multiply_back_rejects_corrupted_series(monkeypatch, n, m):
     core = _family_core(n)
-    numerators = _numerators(KnotRequest(n, m))
+    numerators = _numerators(n, m)
     top_d, _ = _series_bound(core, numerators)
     series, failure = _checked_sum(core, numerators)
     assert failure is None
@@ -341,7 +335,7 @@ def test_witness_is_lowest_in_q_t_a_order_not_in_packing_order(monkeypatch):
     # (x, y) packing order and the second in (q, t, a).
     n, m = 3, 4
     core = _family_core(n)
-    numerators = _numerators(KnotRequest(n, m))
+    numerators = _numerators(n, m)
     series, failure = _checked_sum(core, numerators)
     assert failure is None
     corrupted = _corrupted(series, {(0, 5, 0): 3, (1, 0, 0): -2})
@@ -913,8 +907,11 @@ def test_superpolynomial_json_rejects_a_non_integer(path, value, message):
      TypeError, "term rows must be a list, got 5"),
     (generating_function_from_json, '{"n":2,"r":1,"numerator":[7],"denominator":[]}',
      TypeError, "numerator entry 0 must be a list, got 7"),
+    # Before the check, a zero coefficient row was dropped without a word.
+    (superpolynomial_from_json, '{"n":2,"m":3,"normalized":true,"terms":[[0,0,0,"1"],[0,1,0,"0"]]}',
+     ValueError, "term row 1 coefficient must be nonzero, got '0'"),
 ], ids=["knot-range", "family-range", "no-terms", "no-denominator", "knot-list", "family-list",
-        "terms-number", "entry-number"])
+        "terms-number", "entry-number", "zero-row"])
 def test_json_readers_reject_a_malformed_object(read, text, error, message):
     with pytest.raises(error, match=re.escape(message)):
         read(text)
@@ -937,16 +934,9 @@ def test_records_are_immutable_tuples_that_pickle():
     back = pickle.loads(pickle.dumps(sp))
     assert back == sp and type(back) is Superpolynomial and type(back.flags) is PropertyFlags
     assert Superpolynomial._fields == ("n", "m", "terms", "content", "flags")
-    req = KnotRequest(m=4, n=3)
-    assert req == (3, 4) and hash(req) == hash((3, 4)) and repr(req) == "KnotRequest(n=3, m=4)"
-    assert pickle.loads(pickle.dumps(req)) == req
-    with pytest.raises(ValueError, match=re.escape("n and m must be positive, got (0, 4)")):
-        req._replace(n=0)
-    for record, name in ((core, "lcm_peak"), (sp, "content"), (req, "n"), (core.parts[0], "coeff")):
+    for record, name in ((core, "lcm_peak"), (sp, "content"), (core.parts[0], "coeff")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
-    with pytest.raises(AttributeError):
-        req.extra = 0
 
 
 def test_generating_function_rejects_bad_families():
