@@ -63,18 +63,6 @@ def monomial_inverse(m: Monomial) -> Monomial:
     return tuple(map(operator.neg, m))
 
 
-def _digit_bytes(bound: int) -> int:
-    """Bytes per digit of a packed int whose signed digits are at most bound in
-    absolute value: the fewest with bound < 2^(w - 1), w = 8 * bytes."""
-    return bound.bit_length() // 8 + 1
-
-
-def _digit_bias(count: int, nbytes: int) -> int:
-    """2^(w - 1) in each of count w-bit digits, w = 8 * nbytes: added to digits
-    in (-2^(w - 1), 2^(w - 1)), it leaves byte group k holding digit k + 2^(w - 1)."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
-
-
 def _check_same_alphabet(
     a: LaurentPolynomial | FactoredRational, b: LaurentPolynomial | FactoredRational
 ) -> None:

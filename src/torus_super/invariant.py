@@ -44,8 +44,6 @@ from .algebra import (
     LaurentPolynomial,
     Monomial,
     SubstitutionMap,
-    _digit_bias,
-    _digit_bytes,
     as_coeff,
     elementary_symmetric,
     expand_binomial_product,
@@ -193,6 +191,18 @@ def _cone_step(b: Monomial) -> tuple[int, int]:
     if z or x < 0 or y < 0 or x + y <= 0:
         raise IntegrityError(f"denominator binomial 1 - x^{b} is off the series cone")
     return x, y
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit of a packed int whose signed digits are at most bound in
+    absolute value: the fewest with bound < 2^(w - 1), w = 8 * bytes."""
+    return bound.bit_length() // 8 + 1
+
+
+def _digit_bias(count: int, nbytes: int) -> int:
+    """2^(w - 1) in each of count w-bit digits, w = 8 * nbytes: added to digits
+    in (-2^(w - 1), 2^(w - 1)), it leaves byte group k holding digit k + 2^(w - 1)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
 def _times(v: int, steps: _Steps, width: int, w: int) -> int:
@@ -785,9 +795,9 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
     an exact Fraction if it is not one (``p/q``).  Rows that are not a list,
     a row that is not a list of 4 fields, an exponent that is not an
     integer, a coefficient that is neither a string nor an integer, a string
-    that is not a number, a zero coefficient or a row that repeats an
-    earlier row's exponents is a ValueError or TypeError that names the
-    row's index, after the prefix where."""
+    that is not a number or not as _to_rows writes it, a zero coefficient or
+    a row repeating an earlier row's exponents is a ValueError or TypeError
+    that names the row's index, after the prefix where."""
     _check_list(f"{where}term rows", rows)
     terms: dict[Monomial, Coeff] = {}
     for i, row in enumerate(rows):
@@ -810,6 +820,8 @@ def _from_rows(rows: list[list], where: str = "") -> LaurentPolynomial:
                 terms[exps] = Fraction(c)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{where}term row {i} coefficient is not a number, got {c!r}") from None
+        if str(terms[exps]) != str(c):  # "1_1", " +1", "2/1": not as _to_rows writes it
+            raise ValueError(f"{where}term row {i} coefficient must be written '{terms[exps]}', got {c!r}")
         if not terms[exps]:
             raise ValueError(f"{where}term row {i} coefficient must be nonzero, got {c!r}")
     return LaurentPolynomial(KNOT, terms)
@@ -825,12 +837,15 @@ def superpolynomial_from_json(text: str) -> Superpolynomial:
     """Inverse of superpolynomial_to_json; the canonical form stores no
     content, so the result's content is the unit monomial.  Text that is
     not an object with the fields n, m and terms, an n or m that is not a
-    positive integer or a malformed term row is a TypeError or ValueError
-    naming what is wrong."""
+    positive integer, a malformed term row or a normalized field that is
+    not true is a TypeError or ValueError naming what is wrong."""
     data = _json_object(text, "n", "m", "terms")
     _check_positive("n and m", data["n"], data["m"])
     poly = _from_rows(data["terms"])
-    if not data.get("normalized", False):
+    normalized = data.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise TypeError(f"normalized must be true or false, got {normalized!r}")
+    if not normalized:
         raise ValueError("only normalized invariants are serialized")
     return Superpolynomial(
         n=data["n"],

@@ -13,8 +13,6 @@ from torus_super.algebra import (
     LaurentPolynomial,
     NonDivisibleError,
     SubstitutionMap,
-    _digit_bias,
-    _digit_bytes,
     exact_divide,
     expand_binomial_product,
 )
@@ -272,22 +270,3 @@ def test_expand_binomial_product_from_polynomial_start():
     }
     with pytest.raises(ValueError):
         expand_binomial_product(one, [((1, 0, 0), -1)])
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_digit_bytes_and_bias_read_signed_digits_back(k):
-    # The width rule: |digit| <= bound needs bound < 2^(w - 1), w = 8 * bytes.
-    assert _digit_bytes((1 << (8 * k - 1)) - 1) == k
-    assert _digit_bytes(1 << (8 * k - 1)) == k + 1
-    w, half = 8 * k, 1 << (8 * k - 1)
-    rng = random.Random(k)
-    digits = [rng.choice((half - 1, 1 - half, 0, rng.randrange(1 - half, half))) for _ in range(40)]
-    digits += [half - 1, 1 - half]  # the top digit is negative
-    count = len(digits)
-    packed = sum(c << (w * i) for i, c in enumerate(digits))
-    # Read: the biased bytes hold each digit plus 2^(w - 1).
-    data = (packed + _digit_bias(count, k)).to_bytes(count * k, "little")
-    assert [int.from_bytes(data[i * k:(i + 1) * k], "little") - half for i in range(count)] == digits
-    # Write: each digit as c + 2^(w - 1), then the bias comes off.
-    written = b"".join((c + half).to_bytes(k, "little") for c in digits)
-    assert int.from_bytes(written, "little") - _digit_bias(count, k) == packed

@@ -161,6 +161,12 @@ def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsy
     data = json.loads((bad / "4_5.json").read_text())
     data["terms"].append([0, 1, 0, "0"])
     (bad / "4_5.json").write_text(json.dumps(data, separators=(",", ":")))
+    # A coefficient spelled otherwise than the writer spells it: before, "1_1"
+    # read as 11, the row's true value, and the MISMATCH had no line saying why.
+    spelled = json.loads((bad / "5_8.json").read_text())
+    assert spelled["terms"][102][3] == "11"
+    spelled["terms"][102][3] = "1_1"
+    (bad / "5_8.json").write_text(json.dumps(spelled, separators=(",", ":")))
     code, out, _ = run(capsys, "verify", "corpus", "--fixtures", str(bad))
     assert code == 1
     lines = out.splitlines()
@@ -171,7 +177,9 @@ def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsy
     at = lines.index("(4,5) MISMATCH")
     rows = len(data["terms"])
     assert lines[at + 1] == f"  unreadable fixture: term row {rows - 1} coefficient must be nonzero, got '0'"
-    assert len(lines) == 18 and sum(line.endswith(" ok") for line in lines) == 12
+    at = lines.index("(5,8) MISMATCH")
+    assert lines[at + 1] == "  unreadable fixture: term row 102 coefficient must be written '11', got '1_1'"
+    assert len(lines) == 19 and sum(line.endswith(" ok") for line in lines) == 11
 
 
 def test_verify_corpus_missing_fixture(tmp_path, capsys):

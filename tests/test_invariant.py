@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import pickle
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,8 @@ from torus_super.algebra import KNOT, MACD, LaurentPolynomial, expand_binomial_p
 from torus_super.invariant import (
     _checked_sum,
     _cone_step,
+    _digit_bias,
+    _digit_bytes,
     _family_core,
     _normalized,
     _numerators,
@@ -368,6 +371,25 @@ def test_denominators_lie_on_series_cone():
     for b in [(0, 0, 1), (-1, 1, 0), (-1, 2, 0), (1, -2, 0)]:
         with pytest.raises(IntegrityError, match=re.escape(f"1 - x^{b} is off the series cone")):
             _cone_step(b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_digit_bytes_and_bias_read_signed_digits_back(k):
+    # The width rule: |digit| <= bound needs bound < 2^(w - 1), w = 8 * bytes.
+    assert _digit_bytes((1 << (8 * k - 1)) - 1) == k
+    assert _digit_bytes(1 << (8 * k - 1)) == k + 1
+    w, half = 8 * k, 1 << (8 * k - 1)
+    rng = random.Random(k)
+    digits = [rng.choice((half - 1, 1 - half, 0, rng.randrange(1 - half, half))) for _ in range(40)]
+    digits += [half - 1, 1 - half]  # the top digit is negative
+    count = len(digits)
+    packed = sum(c << (w * i) for i, c in enumerate(digits))
+    # Read: the biased bytes hold each digit plus 2^(w - 1).
+    data = (packed + _digit_bias(count, k)).to_bytes(count * k, "little")
+    assert [int.from_bytes(data[i * k:(i + 1) * k], "little") - half for i in range(count)] == digits
+    # Write: each digit as c + 2^(w - 1), then the bias comes off.
+    written = b"".join((c + half).to_bytes(k, "little") for c in digits)
+    assert int.from_bytes(written, "little") - _digit_bias(count, k) == packed
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -910,8 +932,28 @@ def test_superpolynomial_json_rejects_a_non_integer(path, value, message):
     # Before the check, a zero coefficient row was dropped without a word.
     (superpolynomial_from_json, '{"n":2,"m":3,"normalized":true,"terms":[[0,0,0,"1"],[0,1,0,"0"]]}',
      ValueError, "term row 1 coefficient must be nonzero, got '0'"),
+    # Before the spelling check, int() and Fraction() read each of these as
+    # a number that _to_rows writes otherwise: 11, 1, 1, 1/2, 3, 2 and 7.
+    *((superpolynomial_from_json,
+       '{"n":2,"m":3,"normalized":true,"terms":[[0,0,0,"1"],[0,1,0,%s]]}' % json.dumps(c),
+       ValueError, f"term row 1 coefficient must be written {want!r}, got {c!r}")
+      for c, want in [("1_1", "11"), (" +1", "1"), ("1e0", "1"), ("0.5", "1/2"), ("\u0663", "3"),
+                      ("2/1", "2"), ("007", "7")]),
+    (generating_function_from_json, '{"n":2,"r":1,"numerator":[[0,[[0,0,0,"-01"]]]],"denominator":[]}',
+     ValueError, "numerator order z^0: term row 0 coefficient must be written '-1', got '-01'"),
+    # Before the type check, any truthy value passed as normalized.
+    *((superpolynomial_from_json, '{"n":2,"m":3,"normalized":%s,"terms":[[0,0,0,"1"]]}' % flag,
+       TypeError, f"normalized must be true or false, got {shown}")
+      for flag, shown in [('"false"', "'false'"), ("1", "1"), ("[0]", "[0]"), ("null", "None")]),
+    (superpolynomial_from_json, '{"n":2,"m":3,"normalized":false,"terms":[[0,0,0,"1"]]}',
+     ValueError, "only normalized invariants are serialized"),
+    (superpolynomial_from_json, '{"n":2,"m":3,"terms":[[0,0,0,"1"]]}',
+     ValueError, "only normalized invariants are serialized"),
 ], ids=["knot-range", "family-range", "no-terms", "no-denominator", "knot-list", "family-list",
-        "terms-number", "entry-number", "zero-row"])
+        "terms-number", "entry-number", "zero-row", "underscore", "plus-space", "exponent", "decimal",
+        "arabic-indic", "unit-denominator", "leading-zeros", "family-leading-zero",
+        "normalized-string", "normalized-int", "normalized-list", "normalized-null", "normalized-false",
+        "normalized-missing"])
 def test_json_readers_reject_a_malformed_object(read, text, error, message):
     with pytest.raises(error, match=re.escape(message)):
         read(text)

@@ -306,6 +306,53 @@ def test_gcd_point_cap_names_its_cause(monkeypatch):
         _gcd_terms(f, h)
 
 
+def _zmul(a, b):
+    """The product of two {exponents: int} polynomials, term by term."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_z(rng, nvars, max_terms, big=False):
+    """An {exponents: int} polynomial of at least 2 terms, one of them constant."""
+    top, size = 10**30 if big else 9, rng.randint(2, max_terms)
+    terms = {(0,) * nvars: rng.choice([-1, 1]) * rng.randint(1, top)}
+    while len(terms) < size:
+        terms[tuple(rng.randint(0, 5) for _ in range(nvars))] = rng.choice([-1, 1]) * rng.randint(1, top)
+    return terms
+
+
+def test_quo_gives_the_exact_quotient_of_seeded_products():
+    rng = random.Random(20261030)
+    cases = [({e: int(c) for e, c in BIG_G.terms.items()}, {e: int(c) for e, c in BIG_A.terms.items()})]
+    for k in range(60):
+        nvars = 1 + k % 2
+        cases.append((_random_z(rng, nvars, 5, big=k % 3 == 0), _random_z(rng, nvars, 4)))
+    for d, u in cases:
+        f = _zmul(d, u)
+        assert oracle._quo(f, d) == u
+        assert oracle._quo(f, u) == d
+        # d is not a constant, so it divides no f + c for a constant c != 0.
+        zero = (0,) * len(next(iter(d)))
+        assert oracle._quo({**f, zero: 2 * abs(f[zero]) + 1}, d) is None
+
+
+def test_quo_rejects_a_non_divisor():
+    # (q + 1) / (2q + 1): the leading coefficient 2 does not divide 1.
+    assert oracle._quo({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 1}) is None
+    # (1 + q) / (q + q^2): the quotient would need q^-1.
+    assert oracle._quo({(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (2, 0): 1}) is None
+    # (q t + 1) / (q + 1): t is left over, and q does not divide it.
+    assert oracle._quo({(1, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}) is None
+    # (q^2 + 1) / (q + 1) over one variable: the remainder is 2.
+    assert oracle._quo({(2,): 1, (0,): 1}, {(1,): 1, (0,): 1}) is None
+    # A divisor all the same: (q^2 - 1) / (q + 1) = q - 1.
+    assert oracle._quo({(2,): 1, (0,): -1}, {(1,): 1, (0,): 1}) == {(1,): 1, (0,): -1}
+
+
 def test_reduce_fraction_gives_coprime_parts_of_the_same_fraction():
     for g, a, b in _seeded_triples(20261019, 30):
         shift = qt({(-2, 1): Fraction(3, 4)})
@@ -424,6 +471,13 @@ def test_rational_arithmetic_stays_in_lowest_terms():
             num, den = _naive(op, a, b)
             assert out.num * den == num * out.den, op
             _assert_lowest_terms(out)
+            # The form is unique: reducing the naive parts lands on the same
+            # parts, which is what equality by canonical parts relies on.
+            naive = RationalFunction(num, den)
+            assert (out.num, out.den) == (naive.num, naive.den), op
+            assert out == naive, op
+            if out:  # and no other value compares equal
+                assert out != out * 2 and out != out / RationalFunction(BINOMIALS[0]), op
 
 
 def test_fractions_outside_qt_rejected():
