@@ -20,9 +20,14 @@ q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z); one function,
 _normalized, then divides T by its monomial content so the lowest term is +1.
 
 A winding family P(n, nk + r) is sum_Y n_Y * f_Y^k / D_Y, f_Y the
-Macdonald framing of Y, so over prod (1 - z*f), f the distinct framings, each
-order of its numerator is again a sum over the same D_Y.  compute()'s series
-sum and multiply-back check certify each order, and only the finished orders
+Macdonald framing of Y, so over E(z) = prod (1 - z*f), f the p distinct
+framings, its numerator N(z) = E(z) * sum_k T_k z^k has degree < p.  At
+z = 0 the low orders are built from the knots T_0, T_1, ...; at z = infinity,
+where 1/(1 - z*f) = -sum_(i >= 1) (z*f)^-i, the high orders are built from the
+mirror knots T_-1, T_-2, ..., m = r - n*i < 0.  Every knot used passes
+compute()'s series sum and multiply-back check, mirror knots included (they
+are measured polynomial, not assumed so), and each order is then exact algebra
+on certified polynomials, with no check of its own.  Only the finished orders
 are substituted into (a, q, t); the series runs on their (a, q, t) terms.
 """
 
@@ -45,7 +50,6 @@ from .algebra import (
     Monomial,
     SubstitutionMap,
     as_coeff,
-    elementary_symmetric,
     expand_binomial_product,
     monomial_div,
     monomial_mul,
@@ -301,6 +305,18 @@ def _numerators(n: int, m: int) -> list[_Slices]:
     return out
 
 
+def _wound(n: int, first: list[_Slices], k: int) -> list[_Slices]:
+    """_numerators(n, nk + r) from first = _numerators(n, r), for any integer
+    k: m moves summand Y's shift by k * f_Y, f_Y = (t_q, t_t + n) its framing."""
+    out = []
+    for part, slices in zip(_family_core(n).parts, first):
+        dx, dy = k * part.framing[0], k * (part.framing[1] + n)
+        out.append({
+            z: {(x + dx, y + dy): c for (x, y), c in terms.items()} for z, terms in slices.items()
+        })
+    return out
+
+
 def _substitute(slices: _Slices, content: Monomial = (0, 0, 0)) -> LaurentPolynomial:
     """The bold image in (a, q, t) divided by x^content, term by term:
     q^x t^y A^z -> (-1)^z a^(2z) q^(2(x + y)) t^(2x + z)."""
@@ -464,7 +480,7 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
     exactly when gcd(n, m) > 1, and the reason names the lowest term of
     T * D - N.  All of this runs on Macdonald exponents; only the finished T
     is substituted into (a, q, t) and normalized, by _normalized.  Results
-    are immutable and memoized; _compute is the body without the memo.
+    are immutable and memoized.
     """
     _check_positive("n and m", n, m)
     total, failure = _checked_sum(_family_core(n), _numerators(n, m))
@@ -472,9 +488,6 @@ def compute(n: int, m: int) -> Union[Superpolynomial, NonPolynomial]:
         reason = f"multiply-back check failed: {failure}"
         return NonPolynomial(n=n, m=m, gcd=math.gcd(n, m), reason=reason)
     return _normalized(n, m, total)
-
-
-_compute = compute.__wrapped__
 
 
 def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices, str | None]:
@@ -498,6 +511,18 @@ def _checked_sum(core: _FamilyCore, numerators: list[_Slices]) -> tuple[_Slices,
     return total, f"T*D - N has lowest term {diff} at (a, q, t) = {exps}"
 
 
+def _content(n: int, m: int, total: _Slices) -> Monomial:
+    """The content of T's bold image, the lowest exponent per coordinate
+    (2 min z, 2 min (x + y), min (2x + z)); a vanishing T is an IntegrityError."""
+    if not total:
+        raise IntegrityError(f"({n},{m}): invariant vanished identically")
+    return (
+        2 * min(total),
+        2 * min(x + y for terms in total.values() for x, y in terms),
+        min(2 * x + z for z, terms in total.items() for x, _ in terms),
+    )
+
+
 def _normalized(n: int, m: int, total: _Slices) -> Superpolynomial:
     """The invariant of a certified T: its bold image divided by its content,
     the lowest exponent per coordinate (2 min z, 2 min (x + y), min (2x + z)).
@@ -506,13 +531,7 @@ def _normalized(n: int, m: int, total: _Slices) -> Superpolynomial:
     the content's preimage, sign (-1)^z included, or 0 if it has none.  It
     must be +1; a vanishing T or any other lowest term is an IntegrityError.
     """
-    if not total:
-        raise IntegrityError(f"({n},{m}): invariant vanished identically")
-    content = (
-        2 * min(total),
-        2 * min(x + y for terms in total.values() for x, y in terms),
-        min(2 * x + z for z, terms in total.items() for x, _ in terms),
-    )
+    content = _content(n, m, total)
     terms = _substitute(total, content)
     if terms.constant_term != 1:
         raise IntegrityError(
@@ -600,82 +619,113 @@ def _check_family(n: int, r: int) -> None:
         raise ValueError(f"family (n={n}, r={r}) hits non-coprime windings")
 
 
+def _certified(n: int, r: int, first: list[_Slices], k: int) -> _Slices:
+    """T_k, the certified sum of P(n, nk + r) on Macdonald exponents, for any
+    integer k; a witness of the multiply-back check is a CalibrationError."""
+    total, failure = _checked_sum(_family_core(n), _wound(n, first, k))
+    if failure is not None:
+        raise CalibrationError(f"({n},{n * k + r}) is not polynomial: {failure}")
+    return total
+
+
+def _times_framings(rows: list[_Slices], framings: list[tuple[int, int]], sign: int) -> None:
+    """rows, a power series in z cut after len(rows) orders, times
+    prod_f (1 - z * f^sign), in place: per framing one downward pass
+    rows[j] -= f^sign * rows[j - 1], j = len(rows) - 1 .. 1.  A cancelled
+    term is deleted at once."""
+    for f_x, f_y in framings:
+        f_x, f_y = sign * f_x, sign * f_y
+        for j in range(len(rows) - 1, 0, -1):
+            into = rows[j]
+            for z, terms in rows[j - 1].items():
+                acc = into.setdefault(z, {})
+                for (x, y), c in terms.items():
+                    key = (x + f_x, y + f_y)
+                    total = acc.get(key, 0) - c
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+
+
 def generating_function(n: int, r: int) -> GeneratingFunction:
-    """Closed form for the winding family m = nk + r, certified by the
-    multiply-back check that compute() runs.
+    """Closed form for the winding family m = nk + r, built from knots that
+    the multiply-back check of compute() certifies.
 
-    Summand Y of P_k = P(n, nk + r) is n_Y * f_Y^k / D_Y, n_Y that of P_0 and
-    f_Y = q^(t_q) t^(t_t + n) its framing: one pole per distinct framing, p
-    of them.  Over prod (1 - z*f), numerator order j is
-    sum_Y n_Y * [z^j] prod_{g != f_Y} (1 - z*g) / D_Y.  Order 0 is T_0, and
-    each order 1..p-1 is certified on its own; a witness is a
-    CalibrationError naming z^j.  The series is then exact for every k.  The
-    T_k with k <= 3 must step by one content ratio nu, and series(3) must
-    reproduce them, or a CalibrationError names the first order that does
-    not.  The bold map is an injective ring homomorphism, so order j is
-    substituted divided by x^(content_0 + j * nu), and each pole is the bold
-    image of its f divided by x^nu.
+    Summand Y of T_k = P(n, nk + r), on Macdonald exponents, is
+    n_Y * f_Y^k / D_Y, n_Y that of T_0 and f_Y = q^(t_q) t^(t_t + n) its
+    framing: one pole per distinct framing, p of them, E(z) = prod (1 - z*f).
+    N(z) = sum_Y n_Y * prod_(g != f_Y) (1 - z*g) / D_Y has degree < p and
+    N(z) / E(z) = sum_Y n_Y / (D_Y (1 - z*f_Y)), so over the rational
+    functions in (q, t, A):
+      at z = 0, N = E * sum_(k >= 0) T_k z^k, and N_j = [z^j] E * sum_(k < L) T_k z^k
+      for j < L;
+      at z = infinity, w = 1/z, 1/(1 - z*f) = -sum_(i >= 1) (w/f)^i, and
+      N_(p - l) = (-1)^(p + 1) * prod f * [w^l] prod_f (1 - w/f) * sum_(i <= H) T_-i w^i
+      for l = 1..H, T_-i the mirror knot m = r - n*i < 0.
+    L = max(4, ceil(p/2)) and H = p - L (at least 0) keep the largest knot
+    small.  Each knot is built from _numerators(n, r), shifted by _wound, and
+    passes _checked_sum, or a CalibrationError names it and the witness; the
+    mirror knots are measured polynomial, not assumed so.  Each order is then
+    exact algebra on certified Laurent polynomials and needs no check of its
+    own.  When p < L, orders p..L-1 must vanish, or a CalibrationError names
+    the first that does not.  The series is exact for every k.
 
-    Supports overlap, so keys hold one tuple per point: the numerator
-    orders, held together, share a table of (a, q, t) points, and the
-    products n_Y * c_j(f_Y) of one order's summands a table of (x, y)
-    points, dropped with the order, since no two orders are built at once.
-    Memory grows with the terms plus the distinct points, and each term
-    pair of a product builds one tuple.
+    The T_k with k < L must step by one content ratio nu, and series(3)
+    must reproduce T_0..T_3, or a CalibrationError names the first order
+    that does not.  The bold map is an injective ring homomorphism, so order
+    j is substituted divided by x^(content_0 + j * nu), and each pole is the
+    bold image of its f divided by x^nu.  Each side's knots are held only
+    until its orders are substituted; the orders share a table of (a, q, t)
+    points, so memory grows with their terms plus the distinct points.
     """
     _check_family(n, r)
-    core = _family_core(n)
-    summand_framings = [(part.framing[0], part.framing[1] + n) for part in core.parts]
-    framings = set(summand_framings)
-    known = []
-    for k in range(4):
-        known.append(_compute(n, n * k + r))  # past the memo: nothing is cached
-        if isinstance(known[k], NonPolynomial):
-            raise CalibrationError(f"({n},{n * k + r}) is not polynomial")
-    steps = {monomial_div(known[k + 1].content, known[k].content) for k in range(3)}
+    framings = sorted({(part.framing[0], part.framing[1] + n) for part in _family_core(n).parts})
+    p = len(framings)
+    low = max(4, -(-p // 2))
+    high = max(0, p - low)
+    first = _numerators(n, r)
+
+    rows, known, contents = [], [], []
+    for k in range(low):
+        rows.append(_certified(n, r, first, k))
+        if k < 4:
+            known.append(_normalized(n, n * k + r, rows[k]))
+            contents.append(known[k].content)
+        else:
+            contents.append(_content(n, n * k + r, rows[k]))
+    steps = {monomial_div(b, a) for a, b in zip(contents, contents[1:])}
     if len(steps) != 1:
-        raise CalibrationError(f"content ratio not constant over k = 0..3: {steps}")
+        raise CalibrationError(f"content ratio not constant over k = 0..{low - 1}: {steps}")
     nu = steps.pop()
 
-    # The orders E_j = (-1)^j e_j(framings) of E(z) = prod_f (1 - z*f), by the
-    # Pascal pass.  The cofactor [z^j] prod_{g != f} (1 - z*g) of framing f is
-    # then c_j(f) = f * c_(j-1)(f) + E_j with c_0(f) = 1, one order at a time.
-    elementary = elementary_symmetric(MACD, [(*f, 0) for f in framings], len(framings) - 1)
-    cofactors = dict.fromkeys(framings, elementary[0])
-    first = _numerators(n, r)
     numerator = [(0, known[0].terms)]
-    # A slice or order that gains a point takes its table's tuple; a sum
-    # keeps the key already there.
+    # An order that gains a point takes the table's tuple.
     knot_points = {e: e for e in known[0].terms.terms}
-    for j in range(1, len(framings)):
-        points: dict[tuple[int, int], tuple[int, int]] = {}
-        e_j = -elementary[j] if j % 2 else elementary[j]
-        cofactors = {f: c.shifted((*f, 0)) + e_j for f, c in cofactors.items()}
-        numerators = []
-        for f, num in zip(summand_framings, first):
-            slices: _Slices = {}
-            for z, terms in num.items():
-                acc: _Slice = {}
-                for (g_x, g_y, _), g in cofactors[f].terms.items():
-                    for (x, y), c in terms.items():
-                        key = (x + g_x, y + g_y)
-                        old = acc.get(key)
-                        if old is None:
-                            acc[points.setdefault(key, key)] = g * c
-                        else:
-                            acc[key] = old + g * c
-                slices[z] = {e: c for e, c in acc.items() if c}
-            numerators.append(slices)
-        total, failure = _checked_sum(core, numerators)
-        if failure is not None:
-            raise CalibrationError(
-                f"numerator order z^{j} failed the multiply-back check: {failure}"
-            )
-        if total:
-            content = tuple(c + j * v for c, v in zip(known[0].content, nu))
-            image = _substitute(total, content).terms
-            image = {knot_points.setdefault(e, e): c for e, c in image.items()}
+
+    def add(j: int, slices: _Slices, shift: Monomial = (0, 0, 0), sign: int = 1) -> None:
+        """Order j, the bold image of slices times sign divided by x^shift and
+        by x^(content_0 + j * nu), unless it vanishes."""
+        if any(slices.values()):
+            content = tuple(c + j * v - s for c, v, s in zip(known[0].content, nu, shift))
+            image = _substitute(slices, content).terms
+            image = {knot_points.setdefault(e, e): sign * c for e, c in image.items()}
             numerator.append((j, LaurentPolynomial._of(KNOT, image)))
+
+    _times_framings(rows, framings, 1)
+    for j in range(1, low):
+        if j < p:
+            add(j, rows[j])
+        elif any(rows[j].values()):
+            raise CalibrationError(f"numerator order z^{j} does not vanish, but the family has {p} poles")
+    rows = [{}]  # drops the low side's knots; the high side has no w^0
+    rows += (_certified(n, r, first, -i) for i in range(1, high + 1))
+    _times_framings(rows, framings, -1)
+    # The factor prod f moves the bold image by its own image (0, 2(x + y), 2x).
+    f_x, f_y = sum(f[0] for f in framings), sum(f[1] for f in framings)
+    for l in range(high, 0, -1):
+        add(p - l, rows[l], (0, 2 * (f_x + f_y), 2 * f_x), 1 if p % 2 else -1)
+    del rows
     gf = GeneratingFunction(
         n=n,
         r=r,

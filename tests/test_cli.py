@@ -182,6 +182,32 @@ def test_verify_corpus_reports_an_unreadable_fixture_and_goes_on(tmp_path, capsy
     assert len(lines) == 19 and sum(line.endswith(" ok") for line in lines) == 11
 
 
+def test_verify_corpus_says_why_equal_terms_mismatch(tmp_path, capsys):
+    # Before, each of these printed a bare MISMATCH: the terms read back
+    # equal to the computed ones, and only the bytes differ from the writer's.
+    bad = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, bad)
+    text = (bad / "5_8.json").read_text()
+    data = json.loads(text)
+    data["terms"][102][3] = 11  # an integer, not the string "11"
+    written = json.dumps(data, separators=(",", ":")) + "\n"
+    (bad / "5_8.json").write_text(written)
+    integer_at = next(i for i, (x, y) in enumerate(zip(text, written)) if x != y)
+    assert text[integer_at - 1:integer_at + 3] == ',"11'
+    data = json.loads((bad / "2_3.json").read_text())
+    (bad / "2_3.json").write_text(json.dumps(dict(reversed(data.items())), separators=(",", ":")))
+    # A space after the first colon, and two leading spaces: offsets count in the file.
+    text = (bad / "3_4.json").read_text()
+    (bad / "3_4.json").write_text("  " + text.replace(":", ": ", 1))
+    code, out, _ = run(capsys, "verify", "corpus", "--fixtures", str(bad))
+    assert code == 1
+    lines = out.splitlines()
+    detail = "  terms agree, but the fixture's bytes differ from the canonical JSON at byte"
+    for pair, at in (("(2,3)", 2), ("(3,4)", 7), ("(5,8)", integer_at)):
+        assert lines[lines.index(f"{pair} MISMATCH") + 1] == f"{detail} {at}"
+    assert len(lines) == 18 and sum(line.endswith(" ok") for line in lines) == 12
+
+
 def test_verify_corpus_missing_fixture(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "corpus", "--fixtures", str(tmp_path / "nowhere"))
     assert code == 3

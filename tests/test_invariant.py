@@ -544,11 +544,12 @@ def test_generating_function_three_strand_poles():
     assert set(generating_function(3, 2).poles) == {(0, 0, 0), (0, 6, 4), (0, 12, 6)}
 
 
-@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4), (6, 1)])
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4), (6, 1)])
 def test_generating_function_series_matches_direct(n, r):
     # The certified numerator makes the series exact for every k, but
-    # generating_function checks the content ratio and compares the series
-    # with compute only for k <= 3; past that, normalization must not drift.
+    # generating_function checks the content ratio only over the knots it
+    # builds from and compares the series with compute only for k <= 3;
+    # past that, normalization must not drift.
     series = generating_function(n, r).series(8)
     for k in range(9):
         assert series[k] == compute(n, n * k + r).terms
@@ -588,50 +589,80 @@ def test_fit_certificate_names_the_first_disagreeing_order(monkeypatch, n, r):
             generating_function(n, r)
 
 
-def _bump_numerator_order(monkeypatch, n, r, order):
-    """Serve P_0..P_3 of the family from a memo in place of compute's body,
-    so each _checked_sum left is a numerator order's, 1..p-1 in turn, and bump
-    order `order` as _bump_one_coefficient does, in the lowest z-slice of its
-    T.  The witness is then the bumped term times the constant term 1 of D:
-    the returned list receives its bold image."""
+def _bump_knot(monkeypatch, n, m):
+    """Bump the series sum of P(n, m), found by its numerators, as
+    _bump_one_coefficient does, in the first z-slice that has terms, before
+    the multiply-back check sees it.  The witness is then the bumped term
+    times the constant term 1 of D: the returned list receives its bold image."""
     monkeypatch.undo()
-    body = invariant._compute
-    known = {n * k + r: body(n, n * k + r) for k in range(4)}
-    monkeypatch.setattr(invariant, "_compute", lambda n_, m: known[m])
     real_sum, real_series = invariant._checked_sum, invariant._slice_series
-    calls, witness = [], []
+    target, witness, zs = invariant._numerators(n, m), [], []
 
-    def counted(core, numerators):
-        calls.append(iter(sorted(set().union(*numerators))))  # the z of each slice
+    def checked(core, numerators):
+        zs[:] = [iter(sorted(set().union(*numerators)))] if numerators == target else []
         return real_sum(core, numerators)
 
     def bumped(core, sides, top_d, top_x):
-        z = next(calls[-1])
         terms = real_series(core, sides, top_d, top_x)
-        if len(calls) != order or witness or not terms:
+        if not zs:
+            return terms
+        z = next(zs[0])
+        if witness or not terms:
             return terms
         x, y = max(terms)
-        image = (2 * z, 2 * (x + y + 1), 2 * x + z)
-        witness.append(f"lowest term {(-1) ** z} at (a, q, t) = {image}")
+        witness.append(f"lowest term {(-1) ** z} at (a, q, t) = {(2 * z, 2 * (x + y + 1), 2 * x + z)}")
         return _bump_one_coefficient({z: terms})[z]
 
-    monkeypatch.setattr(invariant, "_checked_sum", counted)
+    monkeypatch.setattr(invariant, "_checked_sum", checked)
     monkeypatch.setattr(invariant, "_slice_series", bumped)
     return witness
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (5, 1)])
 def test_numerator_orders_face_the_multiply_back_check(monkeypatch, capsys, n, r):
-    p = len(generating_function(n, r).poles)
-    for order in sorted({1, p - 1}):
-        witness = _bump_numerator_order(monkeypatch, n, r, order)
-        message = f"numerator order z^{order} failed the multiply-back check"
-        with pytest.raises(CalibrationError, match=re.escape(message)) as err:
+    # The orders are built from the knots T_0..T_3 and, for n = 5 (p = 7
+    # poles), the mirror knots T_-1..T_-3 too, m = r - 5i < 0.  Each must
+    # pass the check: a bumped series sum of any of them is the witness.
+    knots = range(-3, 4) if n == 5 else range(4)
+    for k in knots:
+        m = n * k + r
+        witness = _bump_knot(monkeypatch, n, m)
+        with pytest.raises(CalibrationError) as err:
             generating_function(n, r)
-        assert str(err.value).endswith(f"has {witness[0]}")
-    _bump_numerator_order(monkeypatch, n, r, p - 1)
-    assert cli.main(["genfun", str(n), str(r)]) == cli.EXIT_CALIBRATION == 4
-    assert f"calibration failed: numerator order z^{p - 1}" in capsys.readouterr().err
+        assert str(err.value) == f"({n},{m}) is not polynomial: T*D - N has {witness[0]}"
+    for k in (1, -1) if n == 5 else (1,):
+        m = n * k + r
+        witness = _bump_knot(monkeypatch, n, m)
+        assert cli.main(["genfun", str(n), str(r)]) == cli.EXIT_CALIBRATION == 4
+        message = f"calibration failed: ({n},{m}) is not polynomial: T*D - N has {witness[0]}"
+        assert capsys.readouterr().err == message + "\n"
+
+
+def test_wound_numerators_match_direct():
+    # Shifting each summand of P(n, r) by k * f_Y gives P(n, nk + r), also for k < 0.
+    for n in range(2, 6):
+        for r in range(1, n):
+            first = invariant._numerators(n, r)
+            for k in range(-3, 4):
+                assert invariant._wound(n, first, k) == invariant._numerators(n, n * k + r), (n, r, k)
+
+
+@pytest.mark.parametrize("n,r,k,named", [(2, 1, 2, 2), (2, 1, 3, 3), (3, 1, 2, 3), (3, 1, 3, 3)])
+def test_a_surplus_order_must_vanish(monkeypatch, n, r, k, named):
+    # p = n poles here, fewer than the 4 calibration knots, so orders p..3
+    # must cancel.  A certified T_k that is wrong by one term leaves that
+    # term in order k, or times -e_1(framings) in order k + 1.
+    real = invariant._checked_sum
+    target = invariant._numerators(n, n * k + r)
+
+    def changed(core, numerators):
+        total, failure = real(core, numerators)
+        return (_bump_one_coefficient(total), None) if numerators == target else (total, failure)
+
+    monkeypatch.setattr(invariant, "_checked_sum", changed)
+    message = f"numerator order z^{named} does not vanish, but the family has {n} poles"
+    with pytest.raises(CalibrationError, match=re.escape(message)):
+        generating_function(n, r)
 
 
 @pytest.mark.parametrize("n,r", [(4, 1), (5, 1)])
@@ -643,15 +674,26 @@ def test_fit_rejects_a_changed_content_or_a_nonpolynomial_order(monkeypatch, n, 
     with pytest.raises(CalibrationError, match="content ratio not constant"):
         generating_function(n, r)
 
-    monkeypatch.undo()
-    body = invariant._compute
-
-    def lost(n_, m):
-        return NonPolynomial(n=n_, m=m, gcd=1) if m == n + r else body(n_, m)
-
-    monkeypatch.setattr(invariant, "_compute", lost)
+    _bump_knot(monkeypatch, n, n + r)
     with pytest.raises(CalibrationError, match=re.escape(f"({n},{n + r}) is not polynomial")):
         generating_function(n, r)
+
+
+def test_content_ratio_holds_past_the_calibration_knots(monkeypatch):
+    # (6,1) has 9 poles and builds its low orders from T_0..T_4: a moved
+    # content at k = 4 is caught, though series(3) never sees T_4.
+    real = invariant._checked_sum
+    target = invariant._numerators(6, 25)
+
+    def moved(core, numerators):
+        total, failure = real(core, numerators)
+        if numerators == target:
+            total = {z: {(x + 1, y): c for (x, y), c in terms.items()} for z, terms in total.items()}
+        return total, failure
+
+    monkeypatch.setattr(invariant, "_checked_sum", moved)
+    with pytest.raises(CalibrationError, match=re.escape("content ratio not constant over k = 0..4")):
+        generating_function(6, 1)
 
 
 def test_normalized_reads_the_lowest_term_as_its_constant_term():
@@ -696,7 +738,7 @@ def test_integrity_checks_reach_compute_and_generating_function(monkeypatch, cha
 
     monkeypatch.setattr(invariant, "_checked_sum", changed)
     with pytest.raises(IntegrityError, match=re.escape(f"(3,4): {message}")):
-        invariant._compute(3, 4)  # past the memo
+        compute.__wrapped__(3, 4)  # past the memo
     with pytest.raises(IntegrityError, match=re.escape(f"(3,1): {message}")):
         generating_function(3, 1)
 
@@ -804,24 +846,6 @@ def test_series_rows_hold_one_tuple_per_point():
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_series_rows_hold_one_tuple_per_point(name):
     _assert_one_tuple_per_point(HAND_BUILT[name], 6)
-
-
-def test_numerator_orders_hold_one_tuple_per_point(monkeypatch):
-    # Every _checked_sum after the four calibration knots is a numerator
-    # order's; across its summands' slices each (x, y) is one object.
-    real, orders = invariant._checked_sum, []
-
-    def captured(core, numerators):
-        orders.append(numerators)
-        return real(core, numerators)
-
-    monkeypatch.setattr(invariant, "_checked_sum", captured)
-    gf = generating_function(4, 1)
-    assert len(orders) == 4 + len(gf.poles) - 1
-    for numerators in orders[4:]:
-        keys = [e for num in numerators for terms in num.values() for e in terms]
-        assert len(keys) > len(set(keys))
-        assert len({id(e) for e in keys}) == len(set(keys))
 
 
 def test_generating_function_json_rejects_a_malformed_pole():
